@@ -8,10 +8,9 @@
 //! identical in both modes (that is the staircase's contract); only the
 //! query cost differs.
 //!
-//! `optimizer/bnb` measures the full search across the pruning ×
-//! lower-bound grid on the paper workload. Bounds without pruning is a
-//! no-op cell by construction (`with_mode` forces bounds off when pruning
-//! is off), kept in the grid so the ablation table is complete.
+//! `optimizer/bnb` measures the full search with pruning (and with it the
+//! branch-and-bound corner skips, which need the staircase) on and off on
+//! the paper workload.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tce_bench::{paper_cost_model, paper_tree};
@@ -38,7 +37,7 @@ fn staircase_of(n: u64, legacy: bool) -> (SolutionSet, Distribution) {
     let a = sp.declare("a", 4);
     let b = sp.declare("b", 4);
     let d = Distribution::pair(a, b);
-    let mut set = SolutionSet::with_mode(true, legacy, !legacy);
+    let mut set = SolutionSet::with_mode(true, legacy);
     for i in 0..n {
         set.insert(sol(d, i as f64, u128::from(2 * n - i), 1), u128::MAX);
     }
@@ -84,14 +83,8 @@ fn bench_bnb_grid(c: &mut Criterion) {
     let cm = paper_cost_model(16);
     let mut g = c.benchmark_group("optimizer/bnb");
     g.sample_size(10);
-    let grid = [
-        ("pruned+bounds", false, false),
-        ("pruned+nobounds", false, true),
-        ("unpruned+bounds", true, false),
-        ("unpruned+nobounds", true, true),
-    ];
-    for (name, disable_pruning, disable_lower_bounds) in grid {
-        let cfg = OptimizerConfig { disable_pruning, disable_lower_bounds, ..Default::default() };
+    for (name, disable_pruning) in [("pruned", false), ("unpruned", true)] {
+        let cfg = OptimizerConfig { disable_pruning, ..Default::default() };
         g.bench_function(name, |b| b.iter(|| optimize(&tree, &cm, &cfg).unwrap().comm_cost));
     }
     g.finish();

@@ -233,7 +233,6 @@ pub fn run_suite(opts: &SuiteOptions, mut progress: impl FnMut(&str)) -> Result<
                 (k::MEMO_MISS, num_u(c.get(k::MEMO_MISS))),
                 (k::BNB_SKIP, num_u(c.get(k::BNB_SKIP))),
                 (k::BNB_BLOCK, num_u(c.get(k::BNB_BLOCK))),
-                (k::BNB_FLOOR, num_u(c.get(k::BNB_FLOOR))),
             ]);
             rows.push(obj(vec![
                 ("scenario", text(sc.name)),
@@ -359,7 +358,6 @@ pub fn run_suite(opts: &SuiteOptions, mut progress: impl FnMut(&str)) -> Result<
                     (k::MEMO_MISS, num_u(c.get(k::MEMO_MISS))),
                     (k::BNB_SKIP, num_u(c.get(k::BNB_SKIP))),
                     (k::BNB_BLOCK, num_u(c.get(k::BNB_BLOCK))),
-                    (k::BNB_FLOOR, num_u(c.get(k::BNB_FLOOR))),
                 ]),
             ),
         ]));

@@ -108,17 +108,15 @@ pub fn cache_key(tree: &ExprTree, cm: &CostModel, cfg: &OptimizerConfig) -> Opti
         form.index_order.iter().enumerate().map(|(n, &ix)| (ix, n as u32)).collect();
     let mut h = Fnv128::new();
     h.write_u64(cfg.max_prefix_len as u64);
+    // Bit 3 belonged to a retired knob; the remaining bits keep their
+    // positions so existing keys stay put.
     let mut flags = 0u64;
     for (bit, on) in [
-        cfg.allow_replication,
-        cfg.allow_unrelated_rotation,
-        cfg.disable_pruning,
-        cfg.disable_lower_bounds,
-        cfg.legacy_frontier,
-    ]
-    .into_iter()
-    .enumerate()
-    {
+        (0, cfg.allow_replication),
+        (1, cfg.allow_unrelated_rotation),
+        (2, cfg.disable_pruning),
+        (4, cfg.legacy_frontier),
+    ] {
         if on {
             flags |= 1 << bit;
         }
@@ -385,9 +383,19 @@ impl PlanCache {
         {
             return evict(tce_obs::names::CACHE_EVICT_CORRUPT, "evict_corrupt");
         }
-        let Some(run) = instantiate(tree, cm, key, &entry) else {
+        let Some(mut run) = instantiate(tree, cm, key, &entry) else {
             return evict(tce_obs::names::CACHE_EVICT_PLAN, "evict_plan");
         };
+        // A counter row this build does not emit (e.g. a retired one) means
+        // another build wrote the entry: evict it as stale.
+        let mut counters = tce_obs::Counters::new();
+        for row in &entry.counters {
+            let Some(name) = tce_obs::names::intern(&row.name) else {
+                return evict(tce_obs::names::CACHE_EVICT_VERSION, "evict_version");
+            };
+            counters.add(name, row.value);
+        }
+        run.opt.counters = counters;
         self.bump("hit");
         LookupOutcome { run: Some(Box::new(run)), evicted: None }
     }
@@ -532,10 +540,18 @@ impl PlanCache {
     }
 }
 
+/// Write `text` to a temp file beside `path`, then rename it into place.
+/// The temp name is unique per process and call, so concurrent stores of
+/// one key never rename each other's half-written file away.
 fn atomic_write(path: &Path, text: &str) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("{}.{seq}.tmp", std::process::id()));
     std::fs::write(&tmp, text)?;
-    std::fs::rename(&tmp, path)
+    std::fs::rename(&tmp, path).inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })
 }
 
 /// Validate one entry file against its own embedded canonical workload.
@@ -568,8 +584,9 @@ fn verify_entry(path: &Path) -> Result<String, String> {
     Ok(format!("{} steps, comm {:.3} s", plan.steps.len(), plan.comm_cost))
 }
 
-/// Rebuild a [`CachedRun`] from a validated-looking entry; `None` sends
-/// the caller down the `cache.evict_plan` path.
+/// Rebuild a [`CachedRun`] (counters still empty) from a
+/// validated-looking entry; `None` sends the caller down the
+/// `cache.evict_plan` path.
 fn instantiate(
     tree: &ExprTree,
     cm: &CostModel,
@@ -592,10 +609,6 @@ fn instantiate(
         || entry.max_msg_words != plan.max_msg_words
     {
         return None;
-    }
-    let mut counters = tce_obs::Counters::new();
-    for row in &entry.counters {
-        counters.add(tce_obs::names::intern(&row.name)?, row.value);
     }
     let by_position: HashMap<u32, &StoredNodeStats> =
         entry.stats.iter().map(|s| (s.position, s)).collect();
@@ -633,7 +646,7 @@ fn instantiate(
         output_redist_cost: entry.output_redist_cost,
         stats,
         arena_hw_bytes: entry.arena_hw_bytes,
-        counters,
+        counters: tce_obs::Counters::new(),
         comm_lower_bound: entry.comm_lower_bound,
         comm_floor_exact: entry.comm_floor_exact,
     };

@@ -88,11 +88,6 @@ pub struct OptimizerConfig {
     /// Disable dominance pruning (for the §3.3 pruning-effectiveness
     /// ablation; the result is unchanged, only the work done).
     pub disable_pruning: bool,
-    /// Disable the admissible lower-bound (branch-and-bound) corner skips
-    /// in the combine loops. The result and every pre-existing counter are
-    /// unchanged either way — only `dp.bnb_*` and the work done differ —
-    /// so this exists for ablations and benchmarks.
-    pub disable_lower_bounds: bool,
     /// Answer dominance queries with the legacy O(live) linear scan instead
     /// of the Pareto staircase (which also forces the lower-bound skips
     /// off). Kept for one release as a differential-fuzzing oracle: both
@@ -122,11 +117,6 @@ pub struct OptimizerConfig {
     /// serial-stream order (see [`crate::sched`] and
     /// [`SolutionSet::absorb`]).
     pub threads: usize,
-    /// Use the legacy contiguous equal-count partitioner instead of the
-    /// work-stealing block scheduler. Kept for one release as a
-    /// differential-fuzzing oracle: both schedulers must produce
-    /// bit-identical frontiers, plans, and (deterministic) counters.
-    pub contiguous_partition: bool,
     /// Adaptive spawn threshold override: nanoseconds of predicted serial
     /// enumeration per extra worker. `None` = default (10 ms — nodes
     /// predicted cheaper than the floor run inline so spawn + merge can
@@ -158,8 +148,8 @@ pub struct OptimizerConfig {
     /// Disable the in-run level-1 subtree reuse: with reuse on (the
     /// default), completed node frontiers are keyed by their strict
     /// canonical subtree form (`tce_expr::canon`) plus everything else
-    /// that can influence the frontier (edge candidates, leaf pins, corner
-    /// floor, warm cut), and an isomorphic subtree replays the stored
+    /// that can influence the frontier (edge candidates, leaf pins, warm
+    /// cut), and an isomorphic subtree replays the stored
     /// Pareto staircase under the rename bijection instead of
     /// re-enumerating. Replay is bit-identical to a fresh enumeration —
     /// only the `dp.subtree_hit`/`dp.subtree_miss` counters and the work
@@ -174,8 +164,8 @@ pub struct OptimizerConfig {
     /// dominance corner query. Admissible (the incumbent is the cost of a
     /// real plan, so the optimum is ≤ it), hence the winning plan and
     /// cost are bit-identical to a cold run — only search-effort counters
-    /// move. Active only in staircase mode with lower bounds on and no
-    /// pattern/fusion pins (the same gate as the corner floors).
+    /// move. Active only in staircase mode (pruning on, legacy frontier
+    /// off) and without pattern/fusion pins.
     pub warm_upper_bound: Option<f64>,
 }
 
@@ -187,14 +177,12 @@ impl Default for OptimizerConfig {
             allow_unrelated_rotation: false,
             mem_limit_words: None,
             disable_pruning: false,
-            disable_lower_bounds: false,
             legacy_frontier: false,
             fixed_fusion: None,
             fixed_patterns: None,
             input_dists: HashMap::new(),
             output_dist: None,
             threads: 0,
-            contiguous_partition: false,
             spawn_amort_ns: None,
             verify: false,
             planner: Planner::Exact,
@@ -270,8 +258,8 @@ pub struct NodeStats {
     /// contents, so equivalence checks compare it like any other field.
     pub arena_hw_bytes: u64,
     /// Whether this node's own communication floor was computed exactly
-    /// (`false` when the combo-budget fallback collapsed it to zero, or
-    /// when lower bounds are disabled). Deterministic.
+    /// (`false` when the combo-budget fallback collapsed it to zero).
+    /// Deterministic.
     pub floor_exact: bool,
 }
 
@@ -305,14 +293,13 @@ pub struct Optimized {
     /// Certified communication lower bound for this expression under this
     /// cost model (`tce_cost::lower_bound`, DESIGN.md §12): every plan any
     /// configuration of this search can emit costs at least this many
-    /// model seconds. Zero (trivially admissible) when lower bounds are
-    /// disabled. `comm_cost − comm_lower_bound` is the certified
+    /// model seconds. `comm_cost − comm_lower_bound` is the certified
     /// optimality gap reported by `tce explain` / `tce report`.
     pub comm_lower_bound: f64,
     /// Whether `comm_lower_bound` is the exact kernel minimum at every
     /// node. `false` when any node's floor enumeration fell back to the
-    /// degenerate zero (`MAX_COMBOS_PER_NODE` in `tce_cost::lower_bound`)
-    /// or when lower bounds are disabled: the certificate is still
+    /// degenerate zero (`MAX_COMBOS_PER_NODE` in `tce_cost::lower_bound`):
+    /// the certificate is still
     /// admissible, but the reported gap is an over-estimate and must not
     /// be read as tight. Surfaced in `tce explain` / `tce report`; the
     /// per-node breakdown is [`NodeStats::floor_exact`] and the fallback
@@ -421,11 +408,24 @@ fn emit_progress(
     });
 }
 
-/// Run the §3.3 dynamic programming.
+/// Run the §3.3 dynamic programming, with its optimality certificate.
 pub fn optimize(
     tree: &ExprTree,
     cm: &CostModel,
     cfg: &OptimizerConfig,
+) -> Result<Optimized, OptimizeError> {
+    search(tree, cm, cfg, true)
+}
+
+/// The §3.3 search behind [`optimize`]. `certify: false` skips the
+/// subtree floors (unless warm cuts need them) and leaves the trivial
+/// certificate `comm_lower_bound == 0.0`, for crate-internal searches that
+/// discard it; plans, costs, and search counters are unchanged.
+pub(crate) fn search(
+    tree: &ExprTree,
+    cm: &CostModel,
+    cfg: &OptimizerConfig,
+    certify: bool,
 ) -> Result<Optimized, OptimizeError> {
     if tree.node(tree.root()).is_leaf() {
         return Err(OptimizeError::Unsupported(
@@ -438,65 +438,51 @@ pub fn optimize(
     // every node, at least the smallest block any layout/fusion allows; if
     // those per-node floors already exceed the limit, the exponential
     // search can only end in `NoFeasibleSolution` — fail now instead.
-    if !cfg.disable_lower_bounds
-        && tce_cost::lower_bound::prove_memory_infeasible(tree, cm, limit, cfg.max_prefix_len)
-            .is_some()
+    if tce_cost::lower_bound::prove_memory_infeasible(tree, cm, limit, cfg.max_prefix_len).is_some()
     {
         return Err(OptimizeError::NoFeasibleSolution { limit_words: limit });
     }
-    // Per-node subtree communication floors (DESIGN.md §12), certified
-    // once here, used two ways: the root floor becomes the plan's
-    // optimality certificate (`Optimized::comm_lower_bound`), and the
-    // per-node floors strengthen the branch-and-bound corner queries.
-    // Each node's floor minimizes the exact rotation kernel over every
-    // pattern/surrounding the DP may enumerate and floors every other
-    // cost term at its true minimum of zero. Pinned patterns may predate
-    // the current `allow_replication` setting, so the certificate widens
-    // its pattern universe to the replication superset then; the corner
-    // floors simply stay off under pins (they only ever widen skips,
-    // never change which plan wins).
-    let lb_replication = cfg.allow_replication || cfg.fixed_patterns.is_some();
     // Nearest-grid rcost extrapolations are surfaced per run as a counter
     // delta (the process-wide total minus this snapshot). Concurrent runs
     // can interleave into the delta, which is one more reason the counter
     // sits in `NONDETERMINISTIC_COUNTERS`.
     let rcost_fallbacks_before = tce_cost::rcost_fallback_count();
+    // Warm-start cuts need an incumbent of this very configuration: a
+    // greedy incumbent from the unpinned space can undercut every plan of
+    // a pinned one, so pinned searches never cut.
+    let warm_ub =
+        cfg.warm_upper_bound.filter(|_| cfg.fixed_patterns.is_none() && cfg.fixed_fusion.is_none());
+    #[derive(Default)]
     struct Floors {
-        corners: HashMap<NodeId, f64>,
         warm_cuts: HashMap<NodeId, f64>,
         root: f64,
         root_exact: bool,
         node_exact: HashMap<NodeId, bool>,
         fallback_nodes: u64,
     }
-    let floors = if cfg.disable_lower_bounds {
-        Floors {
-            corners: HashMap::new(),
-            warm_cuts: HashMap::new(),
-            root: 0.0,
-            root_exact: false,
-            node_exact: HashMap::new(),
-            fallback_nodes: 0,
-        }
-    } else {
+    // Per-node subtree communication floors (DESIGN.md §12), computed at
+    // most once per search and used two ways: the root floor becomes the
+    // plan's optimality certificate (`Optimized::comm_lower_bound`), and
+    // under a warm incumbent the per-node floors become static cuts. Each
+    // node's floor minimizes the exact rotation kernel over every
+    // pattern/surrounding the DP may enumerate and floors every other
+    // cost term at its true minimum of zero. Pinned patterns may predate
+    // the current `allow_replication` setting, so the floors widen their
+    // pattern universe to the replication superset then.
+    let floors = if certify || warm_ub.is_some() {
+        let lb_replication = cfg.allow_replication || cfg.fixed_patterns.is_some();
         let detail = tce_cost::lower_bound::subtree_comm_floors_detailed(tree, cm, lb_replication);
         let raw_root = detail.floors[&tree.root()];
-        let root_floor = tce_cost::bound::certify(raw_root);
-        let root_exact = detail.root_exact(tree);
-        let corners_active = !cfg.disable_pruning
-            && !cfg.legacy_frontier
-            && cfg.fixed_patterns.is_none()
-            && cfg.fixed_fusion.is_none();
         // Warm-start cut per node: a candidate whose certified subtree
         // floor exceeds `incumbent − rest_floor(node)` can only complete
         // to plans strictly costlier than the incumbent — and the
         // incumbent is the cost of a real plan of this configuration, so
         // the optimum (and every tie with it) survives. `certify` shrinks
         // the rest floor so float re-association cannot make the cut
-        // inadmissible. Gated exactly like the corner floors: the skip
-        // never changes which plan wins, only the work done.
-        let warm_cuts = match cfg.warm_upper_bound {
-            Some(ub) if corners_active => detail
+        // inadmissible. The skip never changes which plan wins, only the
+        // work done.
+        let warm_cuts = match warm_ub {
+            Some(ub) => detail
                 .floors
                 .iter()
                 .map(|(&n, &f)| {
@@ -504,23 +490,18 @@ pub fn optimize(
                     (n, ub - rest)
                 })
                 .collect(),
-            _ => HashMap::new(),
-        };
-        let corners = if corners_active {
-            detail.floors.into_iter().map(|(k, v)| (k, tce_cost::bound::certify(v))).collect()
-        } else {
-            HashMap::new()
+            None => HashMap::new(),
         };
         Floors {
-            corners,
             warm_cuts,
-            root: root_floor,
-            root_exact,
+            root: tce_cost::bound::certify(raw_root),
+            root_exact: detail.root_exact(tree),
             node_exact: detail.node_exact,
             fallback_nodes: detail.fallback_nodes,
         }
+    } else {
+        Floors::default()
     };
-    let (corner_floors, comm_lower_bound) = (floors.corners, floors.root);
     let threads = match cfg.threads {
         0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
         n => n,
@@ -559,8 +540,8 @@ pub fn optimize(
     // Level-1 in-run subtree reuse (DESIGN.md §14): each completed node's
     // frontier is memoized under its canonical subtree form plus every
     // other input the enumeration depends on — edge candidates, leaf
-    // pins, certified floor and warm cut of every internal node of the
-    // subtree, all expressed in canonical index numbering so the key is
+    // pins, and the warm cut of every internal node of the subtree, all
+    // expressed in canonical index numbering so the key is
     // rename-invariant. A later isomorphic subtree whose canonical index
     // bijection is *monotone* in `IndexId` order replays the stored
     // Pareto staircase through [`SolutionSet::remap`] instead of
@@ -584,14 +565,12 @@ pub fn optimize(
         /// an unpinned leaf, otherwise the pinned distribution's indices
         /// as canonical numbers.
         pin_sig: Vec<Option<(Option<u32>, Option<u32>)>>,
-        /// Certified corner floor of every internal subtree node, in
-        /// canonical node order, bit-exact. Keying on *all* descendants
-        /// (not just the root of the subtree) guarantees that when this
-        /// key matches, every descendant's enumeration inputs matched
-        /// too, so the stored `sol_index` back-pointers into child sets
-        /// land on identically laid-out arenas.
-        floor_bits: Vec<u64>,
-        /// Warm-start cut of every internal subtree node, same encoding.
+        /// Warm-start cut of every internal subtree node, in canonical
+        /// node order, bit-exact. Keying on *all* descendants (not just
+        /// the root of the subtree) guarantees that when this key
+        /// matches, every descendant's enumeration inputs matched too, so
+        /// the stored `sol_index` back-pointers into child sets land on
+        /// identically laid-out arenas.
         warm_bits: Vec<u64>,
     }
     struct ReuseEntry {
@@ -619,12 +598,7 @@ pub fn optimize(
             Some(fc) => vec![fc.prefix(node)],
             None => enumerate_prefixes(&edge_candidates(tree, node), cfg.max_prefix_len),
         };
-        let mut set = SolutionSet::with_mode(
-            !cfg.disable_pruning,
-            cfg.legacy_frontier,
-            !cfg.disable_lower_bounds,
-        );
-        let node_floor = corner_floors.get(&node).copied().unwrap_or(0.0);
+        let mut set = SolutionSet::with_mode(!cfg.disable_pruning, cfg.legacy_frontier);
         let warm_cut = floors.warm_cuts.get(&node).copied().unwrap_or(f64::INFINITY);
         // Reuse key for this node, or `None` when reuse is off or any
         // index fails to map (defensive: every pin/edge index is a dim of
@@ -647,7 +621,6 @@ pub fn optimize(
                 }
                 edge_sig.sort_unstable();
                 let mut pin_sig = Vec::new();
-                let mut floor_bits = Vec::new();
                 let mut warm_bits = Vec::new();
                 for &m in &form.nodes {
                     let mn = tree.node(m);
@@ -657,13 +630,12 @@ pub fn optimize(
                             Some(d) => pin_sig.push(Some((map_ix(d.d1)?, map_ix(d.d2)?))),
                         }
                     } else {
-                        floor_bits.push(corner_floors.get(&m).copied().unwrap_or(0.0).to_bits());
                         warm_bits.push(
                             floors.warm_cuts.get(&m).copied().unwrap_or(f64::INFINITY).to_bits(),
                         );
                     }
                 }
-                Some(ReuseKey { hash: form.hash, edge_sig, pin_sig, floor_bits, warm_bits })
+                Some(ReuseKey { hash: form.hash, edge_sig, pin_sig, warm_bits })
             })()
         } else {
             None
@@ -721,7 +693,6 @@ pub fn optimize(
                                 &my_prefixes,
                                 &sets,
                                 limit,
-                                node_floor,
                                 warm_cut,
                                 &mut set,
                             )
@@ -741,7 +712,6 @@ pub fn optimize(
                                 &my_prefixes,
                                 &sets,
                                 limit,
-                                node_floor,
                                 warm_cut,
                                 &mut set,
                             )
@@ -759,7 +729,6 @@ pub fn optimize(
                         &my_prefixes,
                         &sets,
                         limit,
-                        node_floor,
                         warm_cut,
                         &mut set,
                     ),
@@ -778,7 +747,6 @@ pub fn optimize(
         // checks skip them; every other counter is interleaving-invariant.
         counters.add(tce_obs::names::BNB_SKIP, set.bnb_skip);
         counters.add(tce_obs::names::BNB_BLOCK, set.bnb_block);
-        counters.add(tce_obs::names::BNB_FLOOR, set.bnb_floor);
         counters.add(tce_obs::names::BNB_WARM, set.bnb_warm);
         // Scheduler counters: block count is the serial item count (a pure
         // function of the search space, identical at every thread count);
@@ -915,7 +883,7 @@ pub fn optimize(
         arena_hw_bytes: arena_hw,
         counters,
         sets,
-        comm_lower_bound,
+        comm_lower_bound: floors.root,
         comm_floor_exact: floors.root_exact,
     };
     // Self-check: statically verify the winning plan before handing it
@@ -1212,7 +1180,6 @@ fn combine_contraction(
     my_prefixes: &[FusionPrefix],
     sets: &HashMap<NodeId, SolutionSet>,
     limit: u128,
-    node_floor: f64,
     warm_cut: f64,
     out: &mut SolutionSet,
 ) -> crate::sched::EnumStats {
@@ -1358,11 +1325,7 @@ fn combine_contraction(
                     // live entry dominates it, every remaining candidate of
                     // the block is dominated — account them and move on.
                     let (lc, lm, lg) = lslate.floors[row];
-                    // The static subtree floor is an independent admissible
-                    // lower bound on every candidate here; the max of two
-                    // admissible floors is admissible and can only widen
-                    // the skip.
-                    let tail = tce_cost::bound::certify(lc + rc0 + rot_total).max(node_floor);
+                    let tail = tce_cost::bound::certify(lc + rc0 + rot_total);
                     let tail_mem = lm + rm0 + my_mem;
                     let tail_msg = block_msg.max(lg).max(rg0);
                     // Warm-start: a static cut against the incumbent,
@@ -1377,16 +1340,6 @@ fn combine_contraction(
                         break 'rows;
                     }
                     if local.dominates_corner_keyed(&kh, tail, tail_mem, tail_msg) {
-                        if tail == node_floor
-                            && !local.dominates_corner_keyed(
-                                &kh,
-                                tce_cost::bound::certify(lc + rc0 + rot_total),
-                                tail_mem,
-                                tail_msg,
-                            )
-                        {
-                            local.bnb_floor += 1;
-                        }
                         account_block(local, lslate, row, rslate, my_mem, block_msg, limit);
                         local.bnb_block += 1;
                         break 'rows;
@@ -1394,7 +1347,7 @@ fn combine_contraction(
                     // Row corner (this left option against the best of all
                     // right options) — tighter, skips just this row.
                     let lt = lopt.comm_cost + lopt.redist_cost;
-                    let rowb = tce_cost::bound::certify(lt + rc0 + rot_total).max(node_floor);
+                    let rowb = tce_cost::bound::certify(lt + rc0 + rot_total);
                     let row_mem = lopt.mem_words + rm0 + my_mem;
                     let row_msg = block_msg.max(lopt.max_msg_words).max(rg0);
                     if rowb > warm_cut {
@@ -1404,16 +1357,6 @@ fn combine_contraction(
                         continue 'rows;
                     }
                     if local.dominates_corner_keyed(&kh, rowb, row_mem, row_msg) {
-                        if rowb == node_floor
-                            && !local.dominates_corner_keyed(
-                                &kh,
-                                tce_cost::bound::certify(lt + rc0 + rot_total),
-                                row_mem,
-                                row_msg,
-                            )
-                        {
-                            local.bnb_floor += 1;
-                        }
                         account_row(local, lopt, rslate, my_mem, block_msg, limit);
                         local.bnb_block += 1;
                         continue 'rows;
@@ -1494,7 +1437,6 @@ fn combine_elementwise(
     my_prefixes: &[FusionPrefix],
     sets: &HashMap<NodeId, SolutionSet>,
     limit: u128,
-    node_floor: f64,
     warm_cut: f64,
     out: &mut SolutionSet,
 ) -> crate::sched::EnumStats {
@@ -1563,7 +1505,7 @@ fn combine_elementwise(
             'rows: for (row, lopt) in lslate.opts.iter().enumerate() {
                 if bnb {
                     let (lc, lm, lg) = lslate.floors[row];
-                    let tail = tce_cost::bound::certify(lc + rc0).max(node_floor);
+                    let tail = tce_cost::bound::certify(lc + rc0);
                     let tail_mem = lm + rm0 + my_mem;
                     let tail_msg = lg.max(rg0);
                     // Warm-start static cut, before the frontier query
@@ -1576,22 +1518,12 @@ fn combine_elementwise(
                         break 'rows;
                     }
                     if local.dominates_corner_keyed(&kh, tail, tail_mem, tail_msg) {
-                        if tail == node_floor
-                            && !local.dominates_corner_keyed(
-                                &kh,
-                                tce_cost::bound::certify(lc + rc0),
-                                tail_mem,
-                                tail_msg,
-                            )
-                        {
-                            local.bnb_floor += 1;
-                        }
                         account_block(local, lslate, row, rslate, my_mem, 0, limit);
                         local.bnb_block += 1;
                         break 'rows;
                     }
                     let lt = lopt.comm_cost + lopt.redist_cost;
-                    let rowb = tce_cost::bound::certify(lt + rc0).max(node_floor);
+                    let rowb = tce_cost::bound::certify(lt + rc0);
                     let row_mem = lopt.mem_words + rm0 + my_mem;
                     let row_msg = lopt.max_msg_words.max(rg0);
                     if rowb > warm_cut {
@@ -1601,16 +1533,6 @@ fn combine_elementwise(
                         continue 'rows;
                     }
                     if local.dominates_corner_keyed(&kh, rowb, row_mem, row_msg) {
-                        if rowb == node_floor
-                            && !local.dominates_corner_keyed(
-                                &kh,
-                                tce_cost::bound::certify(lt + rc0),
-                                row_mem,
-                                row_msg,
-                            )
-                        {
-                            local.bnb_floor += 1;
-                        }
                         account_row(local, lopt, rslate, my_mem, 0, limit);
                         local.bnb_block += 1;
                         continue 'rows;
@@ -1684,7 +1606,6 @@ fn combine_reduce(
     my_prefixes: &[FusionPrefix],
     sets: &HashMap<NodeId, SolutionSet>,
     limit: u128,
-    node_floor: f64,
     warm_cut: f64,
     out: &mut SolutionSet,
 ) -> crate::sched::EnumStats {
@@ -1769,22 +1690,11 @@ fn combine_reduce(
             let mut kh = local.key_handle(odist, fu);
             if local.bounds_active() {
                 let (cc0, cm0, cg0) = cslate.floors[0];
-                let lb = tce_cost::bound::certify(cc0 + reduce_cost).max(node_floor);
+                let lb = tce_cost::bound::certify(cc0 + reduce_cost);
                 // Warm-start static cut, checked before the frontier
                 // query (see combine_contraction).
                 let warm_skip = lb > warm_cut;
                 if warm_skip || local.dominates_corner_keyed(&kh, lb, cm0 + my_mem, cg0) {
-                    if !warm_skip
-                        && lb == node_floor
-                        && !local.dominates_corner_keyed(
-                            &kh,
-                            tce_cost::bound::certify(cc0 + reduce_cost),
-                            cm0 + my_mem,
-                            cg0,
-                        )
-                    {
-                        local.bnb_floor += 1;
-                    }
                     let n = cslate.opts.len() as u64;
                     let max_fp = cslate.sfx_max_mem[0] + my_mem + cslate.sfx_max_msg[0];
                     if max_fp <= limit {

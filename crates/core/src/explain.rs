@@ -7,7 +7,7 @@ use tce_cost::units::{fmt_paper_bytes, words_to_bytes};
 use tce_cost::CostModel;
 use tce_expr::ExprTree;
 
-use crate::dp::{optimize, OptimizeError, OptimizerConfig};
+use crate::dp::{search, OptimizeError, Optimized, OptimizerConfig};
 use crate::plan::extract_plan;
 
 /// The comparison behind an explanation.
@@ -27,18 +27,38 @@ pub struct Explanation {
     pub text: String,
 }
 
-/// Optimize twice (with and without the memory limit) and narrate the
-/// difference.
+/// Optimize under the memory limit and narrate what the limit cost —
+/// [`explain_from`] over a fresh constrained search.
 pub fn explain(
     tree: &ExprTree,
     cm: &CostModel,
     cfg: &OptimizerConfig,
 ) -> Result<Explanation, OptimizeError> {
-    let free_cfg = OptimizerConfig { mem_limit_words: Some(u128::MAX), ..cfg.clone() };
-    let free = optimize(tree, cm, &free_cfg)?;
+    let constrained = search(tree, cm, cfg, false)?;
+    explain_from(tree, cm, cfg, &constrained)
+}
+
+/// Narrate `constrained`, the exact DP's outcome for `cfg` (with its
+/// solution sets — not a plan-cache hit). The unconstrained search runs
+/// only when some node pruned a candidate for memory: otherwise lifting
+/// the limit changes no candidate, frontier, or winner, so `constrained`
+/// is its own unconstrained optimum.
+pub fn explain_from(
+    tree: &ExprTree,
+    cm: &CostModel,
+    cfg: &OptimizerConfig,
+    constrained: &Optimized,
+) -> Result<Explanation, OptimizeError> {
     let limit = cfg.mem_limit_words.unwrap_or_else(|| cm.mem_limit_words());
-    let constrained = optimize(tree, cm, cfg)?;
-    let plan = extract_plan(tree, &constrained);
+    let unconstrained;
+    let free = if constrained.stats.iter().any(|s| s.pruned_memory > 0) {
+        let free_cfg = OptimizerConfig { mem_limit_words: Some(u128::MAX), ..cfg.clone() };
+        unconstrained = search(tree, cm, &free_cfg, false)?;
+        &unconstrained
+    } else {
+        constrained
+    };
+    let plan = extract_plan(tree, constrained);
     let fusions: Vec<String> = plan
         .steps
         .iter()

@@ -31,7 +31,7 @@ use tce_dist::{enumerate_patterns, CannonPattern};
 use tce_expr::{ExprTree, IndexSet, NodeId, NodeKind};
 use tce_fusion::{edge_candidates, enumerate_prefixes, FusionConfig, FusionPrefix};
 
-use crate::dp::{optimize, OptimizeError, Optimized, OptimizerConfig, Planner};
+use crate::dp::{optimize, search, OptimizeError, Optimized, OptimizerConfig, Planner};
 
 /// Annealing steps per restart when no wall-clock budget is given.
 const DEFAULT_STEPS: usize = 40;
@@ -146,26 +146,10 @@ struct Session<'a> {
     incumbents: Vec<f64>,
     best: Option<(Sample, f64)>,
     deadline: Option<Instant>,
-    /// Certified root floor and its exactness under the *caller's*
-    /// pattern universe. [`optimize`] conservatively widens the floor to
-    /// the replication superset whenever patterns are pinned (pins could
-    /// in principle come from anywhere); ours are drawn from the caller's
-    /// own menus, so this stronger floor stays admissible for every
-    /// sample and is what the certificate and the early stop use.
-    floor: Option<(f64, bool)>,
 }
 
 impl<'a> Session<'a> {
     fn new(tree: &'a ExprTree, cm: &'a CostModel, base: &'a OptimizerConfig) -> Self {
-        let floor = (!base.disable_lower_bounds).then(|| {
-            let detail = tce_cost::lower_bound::subtree_comm_floors_detailed(
-                tree,
-                cm,
-                base.allow_replication,
-            );
-            let root = tce_cost::bound::certify(detail.floors[&tree.root()]);
-            (root, detail.root_exact(tree))
-        });
         Session {
             tree,
             cm,
@@ -176,7 +160,6 @@ impl<'a> Session<'a> {
             incumbents: Vec::new(),
             best: None,
             deadline: base.time_budget_ms.map(|ms| Instant::now() + Duration::from_millis(ms)),
-            floor,
         }
     }
 
@@ -184,9 +167,9 @@ impl<'a> Session<'a> {
         self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
-    /// Evaluate one sample through the restricted DP. Lower bounds and
-    /// verification are off during sampling (they are recomputed once on
-    /// the final winner); `None` means the pinned space is infeasible.
+    /// Evaluate one sample through the restricted DP. The certificate and
+    /// verification are skipped during sampling (they are computed once
+    /// on the final winner); `None` means the pinned space is infeasible.
     fn eval(&mut self, sample: &Sample) -> Option<f64> {
         if let Some(&cached) = self.cache.get(sample) {
             return cached;
@@ -202,11 +185,10 @@ impl<'a> Session<'a> {
         cfg.planner = Planner::Exact;
         cfg.fixed_patterns = Some(patterns);
         cfg.fixed_fusion = fusion;
-        cfg.disable_lower_bounds = true;
         cfg.verify = false;
         cfg.warm_upper_bound = None;
         self.evaluations += 1;
-        let cost = optimize(self.tree, self.cm, &cfg).ok().map(|o| o.comm_cost);
+        let cost = search(self.tree, self.cm, &cfg, false).ok().map(|o| o.comm_cost);
         self.cache.insert(sample.clone(), cost);
         if let Some(c) = cost {
             if self.best.as_ref().is_none_or(|(_, b)| c < *b) {
@@ -217,11 +199,12 @@ impl<'a> Session<'a> {
         cost
     }
 
-    /// Re-run the winning sample under the caller's own lower-bound and
-    /// verification settings so the returned [`Optimized`] carries a real
-    /// certificate. Branch-and-bound invariance makes the plan and cost
-    /// identical to the sampling evaluation.
-    fn certify(&mut self, sample: &Sample) -> Result<Optimized, OptimizeError> {
+    /// Re-run the winning sample under the caller's own verification
+    /// setting so the returned [`Optimized`] carries a real certificate,
+    /// upgraded to `floor` ([`caller_floor`]) when that is stronger. The
+    /// search is the sampling evaluation's, so the plan and cost are
+    /// identical to it.
+    fn certify(&mut self, sample: &Sample, floor: (f64, bool)) -> Result<Optimized, OptimizeError> {
         let (patterns, fusion) = sample.pins(&self.space);
         let mut cfg = self.base.clone();
         cfg.planner = Planner::Exact;
@@ -230,11 +213,10 @@ impl<'a> Session<'a> {
         cfg.warm_upper_bound = None;
         self.evaluations += 1;
         let mut opt = optimize(self.tree, self.cm, &cfg)?;
-        if let Some((floor, exact)) = self.floor {
-            if floor > opt.comm_lower_bound {
-                opt.comm_lower_bound = floor;
-                opt.comm_floor_exact = exact;
-            }
+        let (floor, exact) = floor;
+        if floor > opt.comm_lower_bound {
+            opt.comm_lower_bound = floor;
+            opt.comm_floor_exact = exact;
         }
         Ok(opt)
     }
@@ -278,11 +260,10 @@ impl<'a> Session<'a> {
         cfg.planner = Planner::Exact;
         cfg.fixed_patterns = Some(patterns);
         cfg.fixed_fusion = None;
-        cfg.disable_lower_bounds = true;
         cfg.verify = false;
         cfg.warm_upper_bound = None;
         self.evaluations += 1;
-        let opt = optimize(self.tree, self.cm, &cfg)?;
+        let opt = search(self.tree, self.cm, &cfg, false)?;
         let plan = crate::plan::extract_plan(self.tree, &opt);
         let by_node: HashMap<NodeId, &FusionPrefix> =
             plan.steps.iter().map(|s| (s.node, &s.result_fusion)).collect();
@@ -386,6 +367,18 @@ impl<'a> Session<'a> {
     }
 }
 
+/// The certified root floor and its exactness under the caller's pattern
+/// universe. [`optimize`] conservatively widens its floor to the
+/// replication superset whenever patterns are pinned (pins could in
+/// principle come from anywhere); the heuristics' pins are drawn from the
+/// caller's own menus, so this stronger floor stays admissible for every
+/// sample and is what their certificate and early stop use.
+fn caller_floor(tree: &ExprTree, cm: &CostModel, cfg: &OptimizerConfig) -> (f64, bool) {
+    let detail =
+        tce_cost::lower_bound::subtree_comm_floors_detailed(tree, cm, cfg.allow_replication);
+    (tce_cost::bound::certify(detail.floors[&tree.root()]), detail.root_exact(tree))
+}
+
 fn tree_children(tree: &ExprTree, node: NodeId) -> Option<(NodeId, NodeId)> {
     match tree.node(node).kind {
         NodeKind::Contract { left, right, .. } => Some((left, right)),
@@ -445,39 +438,39 @@ pub fn plan(
 
 /// The exact DP; with a time budget, one greedy sample first whose cost
 /// warm-starts the branch-and-bound (the winning plan is bit-identical
-/// either way — only `dp.bnb_*` effort counters move).
+/// either way — only `dp.bnb_*` effort counters move). Without a budget
+/// this is exactly one [`optimize`] call.
 fn plan_exact(
     tree: &ExprTree,
     cm: &CostModel,
     cfg: &OptimizerConfig,
 ) -> Result<Planned, OptimizeError> {
-    let mut session = Session::new(tree, cm, cfg);
+    let start = Instant::now();
     let mut run_cfg = cfg.clone();
+    let (mut incumbents, mut evaluations) = (Vec::new(), 1);
     let warm_eligible = cfg.time_budget_ms.is_some()
         && cfg.fixed_patterns.is_none()
         && cfg.fixed_fusion.is_none()
-        && !cfg.disable_lower_bounds
         && !cfg.disable_pruning
         && !cfg.legacy_frontier;
     if warm_eligible {
+        let mut session = Session::new(tree, cm, cfg);
         let greedy = session.greedy_sample();
         if let Some(cost) = session.eval(&greedy) {
-            run_cfg.warm_upper_bound = Some(match cfg.warm_upper_bound {
-                Some(ub) => ub.min(cost),
-                None => cost,
-            });
+            run_cfg.warm_upper_bound = Some(cfg.warm_upper_bound.map_or(cost, |ub| ub.min(cost)));
         }
+        (incumbents, evaluations) = (session.incumbents, session.evaluations + 1);
     }
-    session.evaluations += 1;
     let opt = optimize(tree, cm, &run_cfg)?;
-    session.incumbents.push(opt.comm_cost);
-    let budget_exhausted = session.out_of_budget();
+    incumbents.push(opt.comm_cost);
     Ok(Planned {
         opt,
         planner: Planner::Exact,
-        budget_exhausted,
-        incumbents: session.incumbents,
-        evaluations: session.evaluations,
+        budget_exhausted: cfg
+            .time_budget_ms
+            .is_some_and(|ms| start.elapsed() >= Duration::from_millis(ms)),
+        incumbents,
+        evaluations,
     })
 }
 
@@ -492,7 +485,7 @@ fn plan_greedy(
     let mut session = Session::new(tree, cm, cfg);
     let greedy = session.greedy_sample();
     if session.eval(&greedy).is_some() {
-        let opt = session.certify(&greedy)?;
+        let opt = session.certify(&greedy, caller_floor(tree, cm, cfg))?;
         let budget_exhausted = session.out_of_budget();
         return Ok(Planned {
             opt,
@@ -516,11 +509,8 @@ fn plan_heuristic(
 ) -> Result<Planned, OptimizeError> {
     let mut session = Session::new(tree, cm, cfg);
     let mut rng = StdRng::seed_from_u64(cfg.anneal_seed);
-    let stop_at = if portfolio {
-        session.floor.map(|(f, _)| (1.0 + cfg.gap_epsilon.max(0.0)) * f)
-    } else {
-        None
-    };
+    let floor = caller_floor(tree, cm, cfg);
+    let stop_at = portfolio.then(|| (1.0 + cfg.gap_epsilon.max(0.0)) * floor.0);
     let (restarts, steps) = match cfg.time_budget_ms {
         Some(_) => (BUDGET_RESTART_CAP, DEFAULT_STEPS),
         None => (DEFAULT_RESTARTS, DEFAULT_STEPS),
@@ -568,7 +558,7 @@ fn plan_heuristic(
     let planner = if portfolio { Planner::Portfolio } else { Planner::Anneal };
     match session.best.clone() {
         Some((sample, _)) => {
-            let opt = session.certify(&sample)?;
+            let opt = session.certify(&sample, floor)?;
             let budget_exhausted = session.out_of_budget() && !session.stopped(stop_at);
             Ok(Planned {
                 opt,

@@ -294,10 +294,6 @@ pub struct SolutionSet {
     /// Corner-skip events (each covering one or more candidates). Also
     /// interleaving-dependent.
     pub bnb_block: u64,
-    /// Corner-skip events that only succeeded because the caller supplied a
-    /// static subtree communication floor (`tce_cost::lower_bound`) tighter
-    /// than the slate's own tail floor. Interleaving-dependent.
-    pub bnb_floor: u64,
     /// Candidates skipped because their certified floor plus the
     /// rest-of-tree floor exceeds a warm incumbent upper bound
     /// (heuristic warm-start). A subset of `bnb_skip`'s population;
@@ -311,9 +307,6 @@ pub struct SolutionSet {
     /// of the staircase (differential-fuzzing oracle; removed after one
     /// release).
     legacy_frontier: bool,
-    /// Whether branch-and-bound corner queries are allowed (requires the
-    /// staircase, i.e. pruning on and legacy off).
-    bounds_enabled: bool,
 }
 
 impl Default for SolutionSet {
@@ -323,21 +316,22 @@ impl Default for SolutionSet {
 }
 
 impl SolutionSet {
-    /// Empty set with dominance pruning on (staircase mode, bounds allowed).
+    /// Empty set with dominance pruning on (staircase mode, bounds active).
     pub fn new() -> Self {
-        Self::with_mode(true, false, true)
+        Self::with_mode(true, false)
     }
 
     /// Empty set with dominance pruning switched on or off.
     pub fn with_pruning(enabled: bool) -> Self {
-        Self::with_mode(enabled, false, enabled)
+        Self::with_mode(enabled, false)
     }
 
-    /// Empty set with every mode knob explicit: dominance pruning, the
-    /// legacy linear-scan dominance path, and branch-and-bound corner
-    /// queries (forced off without pruning or under the legacy path —
-    /// both lack the staircase the corner query reads).
-    pub fn with_mode(pruning: bool, legacy_frontier: bool, bounds: bool) -> Self {
+    /// Empty set with every mode knob explicit: dominance pruning and the
+    /// legacy linear-scan dominance path. Branch-and-bound corner queries
+    /// are active exactly in staircase mode (pruning on, legacy off) —
+    /// without pruning or under the legacy path there is no staircase for
+    /// the corner query to read.
+    pub fn with_mode(pruning: bool, legacy_frontier: bool) -> Self {
         Self {
             arena: Arena::default(),
             keys: HashMap::new(),
@@ -349,18 +343,16 @@ impl SolutionSet {
             redist_fallbacks: 0,
             bnb_skip: 0,
             bnb_block: 0,
-            bnb_floor: 0,
             bnb_warm: 0,
             pruning_enabled: pruning,
             legacy_frontier,
-            bounds_enabled: bounds && pruning && !legacy_frontier,
         }
     }
 
     /// An empty set in the same mode — what worker threads start from so
     /// [`Self::absorb`] merges like with like.
     pub fn empty_like(&self) -> Self {
-        Self::with_mode(self.pruning_enabled, self.legacy_frontier, self.bounds_enabled)
+        Self::with_mode(self.pruning_enabled, self.legacy_frontier)
     }
 
     /// Entries in storage (live + dead). Valid indices for the accessors
@@ -640,7 +632,7 @@ impl SolutionSet {
         mem: u128,
         msg: u128,
     ) -> bool {
-        if !self.bounds_enabled {
+        if !self.bounds_active() {
             return false;
         }
         match handle.slot {
@@ -650,9 +642,9 @@ impl SolutionSet {
     }
 
     /// Whether branch-and-bound corner queries are active (pruning on,
-    /// staircase mode, bounds not disabled).
+    /// staircase mode).
     pub fn bounds_active(&self) -> bool {
-        self.bounds_enabled
+        self.pruning_enabled && !self.legacy_frontier
     }
 
     /// Account one candidate disposed of by a corner skip, replicating the
@@ -719,7 +711,6 @@ impl SolutionSet {
         self.redist_fallbacks += other.redist_fallbacks;
         self.bnb_skip += other.bnb_skip;
         self.bnb_block += other.bnb_block;
-        self.bnb_floor += other.bnb_floor;
         self.bnb_warm += other.bnb_warm;
         let Arena { costs, mems, msgs, dists, fusions, choices } = other.arena;
         let it = costs.into_iter().zip(mems).zip(msgs).zip(dists).zip(fusions).zip(choices);
@@ -1143,8 +1134,8 @@ mod tests {
         let costs = [5.0, 3.0, 5.0, 4.0, 3.0, 6.0, 2.0, 5.0];
         let mems = [50u128, 80, 50, 60, 70, 40, 90, 45];
         let msgs = [5u128, 3, 4, 6, 3, 2, 7, 4];
-        let mut fast = SolutionSet::with_mode(true, false, true);
-        let mut slow = SolutionSet::with_mode(true, true, false);
+        let mut fast = SolutionSet::with_mode(true, false);
+        let mut slow = SolutionSet::with_mode(true, true);
         for k in 0..costs.len() {
             for j in 0..costs.len() {
                 let d = if (k + j) % 2 == 0 { d1 } else { d2 };
@@ -1191,8 +1182,7 @@ mod tests {
     fn corner_query_disabled_outside_staircase_mode() {
         let (d1, _) = dists();
         let f = FusionPrefix::empty();
-        for mut set in [SolutionSet::with_pruning(false), SolutionSet::with_mode(true, true, true)]
-        {
+        for mut set in [SolutionSet::with_pruning(false), SolutionSet::with_mode(true, true)] {
             set.insert(sol(d1, 5.0, 50, 5), u128::MAX);
             assert!(!set.bounds_active());
             assert!(!set.dominates_corner(d1, &f, 100.0, 1000, 1000));

@@ -170,3 +170,68 @@ fn corrupt_and_stale_entries_are_evicted() {
     assert_eq!(get("cache.store"), 4);
     let _ = std::fs::remove_dir_all(cache.dir());
 }
+
+/// Clients sharing one cache directory may store the same key at the same
+/// moment. Every store must succeed (each writes its own temp file before
+/// the rename), the surviving entry must be complete and warm-hit, and no
+/// temp file may be left behind.
+#[test]
+fn concurrent_stores_of_one_key_all_succeed_and_hit() {
+    let tree = tree_of(&with_inputs(CHAIN, CHAIN_INPUTS));
+    let cm = CostModel::for_square(MachineModel::itanium_cluster(), 4).unwrap();
+    let cfg = OptimizerConfig { max_prefix_len: 2, threads: 1, ..Default::default() };
+    let opt = optimize(&tree, &cm, &cfg).unwrap();
+    let plan = extract_plan(&tree, &opt);
+    let cache = PlanCache::at(tmp_cache("race"));
+    let key = cache_key(&tree, &cm, &cfg).unwrap();
+
+    let start = std::sync::Barrier::new(8);
+    let results: Vec<Result<(), String>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    cache.store(&tree, &key, &plan, &opt)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for r in &results {
+        assert!(r.is_ok(), "concurrent store failed: {r:?}");
+    }
+    let hit = cache.lookup(&tree, &cm, &key).run.expect("warm hit after concurrent stores");
+    assert_eq!(hit.plan.to_json(), plan.to_json());
+    assert_eq!(hit.opt.comm_cost.to_bits(), opt.comm_cost.to_bits());
+    let leftovers: Vec<_> = std::fs::read_dir(cache.dir())
+        .unwrap()
+        .filter_map(Result::ok)
+        .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
+        .collect();
+    assert!(leftovers.is_empty(), "temp files left behind: {leftovers:?}");
+    let _ = std::fs::remove_dir_all(cache.dir());
+}
+
+/// An entry carrying a counter this build does not emit was written by
+/// another build: it is evicted as stale, never half-loaded.
+#[test]
+fn entry_with_unknown_counter_is_evicted_as_stale() {
+    let tree = tree_of(&with_inputs(CHAIN, CHAIN_INPUTS));
+    let cm = CostModel::for_square(MachineModel::itanium_cluster(), 4).unwrap();
+    let cfg = OptimizerConfig { max_prefix_len: 2, threads: 1, ..Default::default() };
+    let opt = optimize(&tree, &cm, &cfg).unwrap();
+    let plan = extract_plan(&tree, &opt);
+    let cache = PlanCache::at(tmp_cache("unknown-counter"));
+    let key = cache_key(&tree, &cm, &cfg).unwrap();
+    let path = cache.dir().join(key.file_name());
+    cache.store(&tree, &key, &plan, &opt).unwrap();
+    let text = std::fs::read_to_string(&path).unwrap();
+    let foreign = text.replacen("\"dp.candidates\"", "\"dp.no_such_counter\"", 1);
+    assert_ne!(foreign, text, "fixture must actually change the entry");
+    std::fs::write(&path, foreign).unwrap();
+    let out = cache.lookup(&tree, &cm, &key);
+    assert!(out.run.is_none());
+    assert_eq!(out.evicted, Some(tce_obs::names::CACHE_EVICT_VERSION));
+    assert!(!path.exists(), "evicted entry must be deleted");
+    let _ = std::fs::remove_dir_all(cache.dir());
+}

@@ -24,10 +24,9 @@
 //!    feasibility under tight limits.
 //! 7. **Scheduler equivalence** — the work-stealing enumeration (spawning
 //!    forced via `spawn_amort_ns: Some(0)` so every node actually splits)
-//!    against the legacy contiguous equal-count partitioner
-//!    (`contiguous_partition: true`) at the highest configured thread
-//!    count: costs to the bit, plans, and every deterministic counter
-//!    must agree.
+//!    at the highest configured thread count against the serial reference
+//!    run: costs to the bit, plans, and every deterministic counter must
+//!    agree.
 //! 8. **Lower-bound admissibility** — the certified communication floor
 //!    (`tce_cost::lower_bound`, DESIGN.md §12) never exceeds the DP
 //!    optimum, and the memory-footprint floor never exceeds the winning
@@ -397,11 +396,11 @@ pub fn check_tree(tree: &ExprTree, cfg: &FuzzConfig) -> Result<TreeStats, Failur
             }
         }
 
-        // Oracle 7: work-stealing vs the legacy contiguous equal-count
-        // partitioner. Both forced to actually spawn (`spawn_amort_ns:
-        // Some(0)` defeats the adaptive threshold, which would otherwise
-        // keep these small nodes inline) at the highest configured thread
-        // count, where claim interleaving and steal traffic are maximal.
+        // Oracle 7: work-stealing vs the serial reference. Forced to
+        // actually spawn (`spawn_amort_ns: Some(0)` defeats the adaptive
+        // threshold, which would otherwise keep these small nodes inline)
+        // at the highest configured thread count, where claim interleaving
+        // and steal traffic are maximal.
         {
             let t = cfg.threads.iter().copied().max().unwrap_or(1).max(2);
             let steal = optimize(
@@ -410,57 +409,42 @@ pub fn check_tree(tree: &ExprTree, cfg: &FuzzConfig) -> Result<TreeStats, Failur
                 &OptimizerConfig { threads: t, spawn_amort_ns: Some(0), ..base_config(cfg) },
             )
             .map_err(|e| fail("scheduler", format!("p={procs} t={t} stealing: {e:?}")))?;
-            let contig = optimize(
-                tree,
-                &cm,
-                &OptimizerConfig {
-                    threads: t,
-                    contiguous_partition: true,
-                    spawn_amort_ns: Some(0),
-                    ..base_config(cfg)
-                },
-            )
-            .map_err(|e| fail("scheduler", format!("p={procs} t={t} contiguous: {e:?}")))?;
-            stats.optimizations += 2;
-            if steal.comm_cost.to_bits() != contig.comm_cost.to_bits()
-                || steal.mem_words != contig.mem_words
-                || steal.max_msg_words != contig.max_msg_words
-                || steal.best_index != contig.best_index
+            stats.optimizations += 1;
+            if steal.comm_cost.to_bits() != base.comm_cost.to_bits()
+                || steal.mem_words != base.mem_words
+                || steal.max_msg_words != base.max_msg_words
+                || steal.best_index != base.best_index
             {
                 return Err(fail(
                     "scheduler",
                     format!(
-                        "p={procs} t={t}: stealing cost {} vs contiguous {}, mem {} vs {}, best {} vs {}",
+                        "p={procs} t={t}: stealing cost {} vs serial {}, mem {} vs {}, best {} vs {}",
                         steal.comm_cost,
-                        contig.comm_cost,
+                        base.comm_cost,
                         steal.mem_words,
-                        contig.mem_words,
+                        base.mem_words,
                         steal.best_index,
-                        contig.best_index
+                        base.best_index
                     ),
                 ));
             }
-            let steal_json = extract_plan(tree, &steal).to_json();
-            if steal_json != extract_plan(tree, &contig).to_json() {
-                return Err(fail("scheduler", format!("p={procs} t={t}: plans differ")));
-            }
-            if steal_json != base_json {
+            if extract_plan(tree, &steal).to_json() != base_json {
                 return Err(fail(
                     "scheduler",
                     format!("p={procs} t={t}: stealing plan differs from serial"),
                 ));
             }
-            for (counter, v) in steal.counters.iter() {
+            for (counter, v) in base.counters.iter() {
                 if tce_obs::NONDETERMINISTIC_COUNTERS.contains(&counter) {
                     continue; // interleaving-dependent by design
                 }
-                if v != contig.counters.get(counter) {
+                if v != steal.counters.get(counter) {
                     return Err(fail(
                         "scheduler",
                         format!(
-                            "p={procs} t={t}: counter {counter} {} vs contiguous {}",
+                            "p={procs} t={t}: counter {counter} serial {} vs stealing {}",
                             v,
-                            contig.counters.get(counter)
+                            steal.counters.get(counter)
                         ),
                     ));
                 }

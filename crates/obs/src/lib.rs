@@ -86,12 +86,6 @@ pub mod names {
     /// Lower-bound corner queries that pruned a block (a row or tail of a
     /// combine loop). `bnb_skip / bnb_block` is the mean block size.
     pub const BNB_BLOCK: &str = "dp.bnb_block";
-    /// Corner prunes that only succeeded because the per-node subtree
-    /// communication floor (`tce_cost::lower_bound`) was tighter than the
-    /// frontier's own slate floor — the measurable contribution of the
-    /// static lower bounds to branch-and-bound. Thread-interleaving
-    /// dependent for the same reason as `bnb_skip`.
-    pub const BNB_FLOOR: &str = "dp.bnb_floor";
     /// Combine blocks scheduled across all nodes — the unit of work the
     /// work-stealing enumeration hands to workers (one block per
     /// `(pattern, fusion-triple)` / `(distribution, pair)` item of the
@@ -165,7 +159,7 @@ pub mod names {
 
     /// Every counter name above, in declaration order — for interning and
     /// exhaustive listings.
-    pub const ALL: [&str; 29] = [
+    pub const ALL: [&str; 28] = [
         CANDIDATES,
         PRUNED_MEMORY,
         PRUNED_INFERIOR,
@@ -176,7 +170,6 @@ pub mod names {
         MEMO_MISS,
         BNB_SKIP,
         BNB_BLOCK,
-        BNB_FLOOR,
         BLOCKS,
         STEAL,
         WORKER_BUSY_US,
@@ -221,12 +214,11 @@ pub mod names {
 ///
 /// `tests/parallel_equivalence.rs` and the fuzz `threads` oracle both
 /// consume this list instead of hardcoding their own copies.
-pub const NONDETERMINISTIC_COUNTERS: [&str; 17] = [
+pub const NONDETERMINISTIC_COUNTERS: [&str; 16] = [
     names::MEMO_HIT,
     names::MEMO_MISS,
     names::BNB_SKIP,
     names::BNB_BLOCK,
-    names::BNB_FLOOR,
     names::BNB_WARM,
     names::STEAL,
     names::RCOST_FALLBACK,

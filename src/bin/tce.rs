@@ -181,7 +181,8 @@ options:
                          to a cold run)
   --dot                  optimize: emit the plan as Graphviz dot
   --json                 optimize: emit the plan as JSON (with an
-                         `observability` section of search counters);
+                         `observability` section of deterministic
+                         search counters);
                          lint/check: emit diagnostics as JSON
   --deny-warnings        lint: exit non-zero on warnings too
   --spmd                 optimize: emit SPMD pseudocode for the plan
@@ -477,12 +478,19 @@ fn with_progress_and_metrics<T>(
 }
 
 /// The `observability` section of `--json` output: the run's search
-/// counters plus the per-node breakdown.
+/// counters minus [`obs::NONDETERMINISTIC_COUNTERS`] (as in `report_json`,
+/// so the document is byte-identical at any thread count and cache state),
+/// plus the per-node breakdown.
 fn observability_json(opt: &tensor_contraction_opt::core::Optimized) -> serde_json::Value {
     use serde_json::{Number, Value};
     let num = |v: u64| Value::Number(Number::UInt(u128::from(v)));
-    let counters =
-        Value::Object(opt.counters.iter().map(|(name, v)| (name.to_string(), num(v))).collect());
+    let counters = Value::Object(
+        opt.counters
+            .iter()
+            .filter(|(name, _)| !obs::NONDETERMINISTIC_COUNTERS.contains(name))
+            .map(|(name, v)| (name.to_string(), num(v)))
+            .collect(),
+    );
     let nodes = Value::Array(
         opt.stats
             .iter()
@@ -739,10 +747,17 @@ fn cmd_optimize(args: &Args) -> Result<(), String> {
                 k.expr_hash
             );
         }
-    } else if let Ok(e) =
-        tensor_contraction_opt::core::explain(&tree, &cm, &opt_config(args, &tree)?)
-    {
-        println!("\n{}", e.text);
+    } else {
+        // Only the exact planner's result is the constrained search the
+        // narration compares against.
+        let narrated = if cfg.planner == Planner::Exact {
+            tensor_contraction_opt::core::explain_from(&tree, &cm, &cfg, &opt)
+        } else {
+            tensor_contraction_opt::core::explain(&tree, &cm, &cfg)
+        };
+        if let Ok(e) = narrated {
+            println!("\n{}", e.text);
+        }
     }
     println!("\nplan:");
     for step in &plan.steps {

@@ -9,13 +9,15 @@
 //! of analysis passes ([`passes`]) that trust nothing in the plan they can
 //! re-derive from the expression tree and the paper's formulas.
 //!
+//! The plan types themselves ([`ExecutionPlan`], [`PlanStep`],
+//! [`PlanOperand`]) live in [`plan`]; `tce-core` builds them and calls
+//! this crate directly for its self-check, `validate_plan`, and the
+//! plan-cache load gate.
+//!
 //! Entry points:
 //! * [`check_plan`] — run every pass, collect a [`CheckReport`];
-//! * [`validate_plan`] — legacy `Result<(), String>` shim (structural
-//!   passes only; no cost model required);
-//! * [`install`] — register the checker with `tce-core` so the optimizer
-//!   self-checks its own results (under `debug_assertions`, or always with
-//!   `OptimizerConfig::verify`).
+//! * [`validate_plan`] — `Result<(), String>` form of the model-free
+//!   passes (no cost model required).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,11 +26,12 @@
 
 pub mod diag;
 pub mod passes;
+pub mod plan;
 
 pub use diag::{codes, CheckReport, Diagnostic, Diagnostics, Severity};
 pub use passes::{CheckContext, Pass};
+pub use plan::{ExecutionPlan, PlanOperand, PlanStep};
 
-use tce_core::ExecutionPlan;
 use tce_cost::CostModel;
 use tce_expr::ExprTree;
 
@@ -73,46 +76,12 @@ pub fn check_plan(
     report
 }
 
-/// Legacy shim: the old `tce_core::validate_plan` contract, backed by the
-/// pass registry (cost-model-free subset — structural, shape, fusion, and
-/// what the distribution/cost passes can verify without a model).
+/// The `Result<(), String>` form of the model-free checks:
+/// [`check_plan`] without a cost model or memory limit.
 pub fn validate_plan(tree: &ExprTree, plan: &ExecutionPlan) -> Result<(), String> {
     check_plan(tree, plan, None, None).to_result()
 }
 
-/// The level-2 plan-cache load gate: the full pass registry with the
-/// live cost model and memory limit.
-///
-/// A cached plan was produced by *some* past run; nothing about the file
-/// is trusted. The cost passes recompute every redistribution and
-/// rotation bit-exactly from `cm` and re-add the per-step ledger, the
-/// memory pass re-derives the footprint against `mem_limit_words`, and
-/// the structural/fusion/pattern passes re-prove legality on the *live*
-/// tree — so a stale, corrupted, or adversarial entry can waste a lookup
-/// but can never smuggle a wrong plan into the pipeline.
-pub fn check_cached_plan(
-    tree: &ExprTree,
-    plan: &ExecutionPlan,
-    cm: &CostModel,
-    mem_limit_words: u128,
-) -> Result<(), String> {
-    check_plan(tree, plan, Some(cm), Some(mem_limit_words)).to_result()
-}
-
-/// The hook function registered with `tce-core` (see
-/// [`tce_core::install_plan_checker`]).
-fn hook(
-    tree: &ExprTree,
-    plan: &ExecutionPlan,
-    cm: Option<&CostModel>,
-    mem_limit_words: Option<u128>,
-) -> Result<(), String> {
-    check_plan(tree, plan, cm, mem_limit_words).to_result()
-}
-
-/// Register this crate as `tce-core`'s plan checker, upgrading
-/// `tce_core::validate_plan` and the optimizer's self-check from the
-/// legacy inline checks to the full pass registry. Idempotent.
-pub fn install() {
-    tce_core::install_plan_checker(hook);
-}
+/// Does nothing. The checker needs no registration: `tce-core` calls
+/// [`check_plan`] directly. Kept so that existing callers still compile.
+pub fn install() {}

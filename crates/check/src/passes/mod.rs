@@ -7,11 +7,11 @@
 //! the public `(ExprTree, ExecutionPlan)` pair, so a bug in the search
 //! cannot hide itself in the checker.
 
-use tce_core::ExecutionPlan;
 use tce_cost::CostModel;
 use tce_expr::ExprTree;
 
 use crate::diag::Diagnostics;
+use crate::plan::ExecutionPlan;
 
 mod cannon;
 mod cost;

@@ -9,11 +9,11 @@
 
 use std::collections::HashMap;
 
-use tce_core::{ExecutionPlan, PlanStep};
 use tce_expr::{ExprTree, IndexId, NodeId};
 
 use crate::diag::{codes, Diagnostic, Diagnostics};
 use crate::passes::{CheckContext, Pass};
+use crate::plan::{ExecutionPlan, PlanStep};
 
 /// Structural agreement between the plan and its tree.
 pub struct StructurePass;

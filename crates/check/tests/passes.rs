@@ -1,8 +1,8 @@
 //! Integration tests for the pass registry: the clean path, the gate, the
-//! cost-model skip, warning semantics, the legacy shim, and the `tce-core`
-//! hook upgrade.
+//! cost-model skip, warning semantics, the `Result` form, and
+//! `tce_core::validate_plan` reaching the same registry.
 
-use tce_check::{check_plan, codes, install, validate_plan};
+use tce_check::{check_plan, codes, validate_plan};
 use tce_core::{extract_plan, optimize, ExecutionPlan, OptimizerConfig};
 use tce_cost::{CostModel, MachineModel};
 use tce_expr::examples::{ccsd_tree, PaperExtents};
@@ -91,23 +91,18 @@ fn legacy_shim_keeps_the_result_contract() {
 }
 
 #[test]
-fn install_upgrades_core_validate_plan_beyond_the_legacy_checks() {
+fn core_validate_plan_runs_the_pattern_pass_without_setup() {
     let (tree, _cm, mut plan) = optimized_pair();
-    // Corrupt a Cannon selection: pick the K-group index for role I. The
-    // legacy inline checks never looked at patterns, so only the upgraded
-    // checker can catch this.
+    // Corrupt a Cannon selection: pick the K-group index for role I. Only
+    // the Cannon pass looks at patterns, so `tce_core::validate_plan`
+    // rejecting this proves it is the full registry, with no install step.
     let pat = plan
         .steps
         .iter_mut()
         .find_map(|s| s.pattern.as_mut().filter(|p| p.i.is_some() && p.k.is_some()))
         .expect("a contraction step with i and k selections exists");
     pat.i = pat.k;
-    assert!(
-        tce_core::validate_plan_basic(&tree, &plan).is_ok(),
-        "the legacy checks are expected to be blind to pattern corruption"
-    );
-    install();
-    let err = tce_core::validate_plan(&tree, &plan).expect_err("upgraded checker must reject");
+    let err = tce_core::validate_plan(&tree, &plan).expect_err("pattern corruption must fail");
     assert!(err.contains("TCE031"), "{err}");
 }
 

@@ -14,12 +14,13 @@
 
 use std::collections::HashMap;
 
+use tce_check::ExecutionPlan;
 use tce_cost::CostModel;
 use tce_expr::{ExprTree, NodeId};
 use tce_fusion::{minimize_memory, FusionConfig};
 
 use crate::dp::{optimize, OptimizeError, Optimized, OptimizerConfig};
-use crate::plan::{extract_plan, ExecutionPlan};
+use crate::plan::extract_plan;
 
 /// Outcome of a baseline strategy.
 #[derive(Debug)]

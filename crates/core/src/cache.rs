@@ -22,8 +22,8 @@
 //!
 //! A cache entry is *advice*, not truth. On every hit the stored plan is
 //! rename-mapped onto the live tree through the canonical-form bijection
-//! and re-validated by the registered plan checker (the full `tce-check`
-//! pass registry with the live cost model and memory limit — which
+//! and re-validated by `tce_check::check_plan` (the full pass registry
+//! with the live cost model and memory limit — which
 //! recomputes every redistribution/rotation cost bit-exactly and re-adds
 //! the ledger). Any mismatch — parse failure, stale schema or code
 //! version, foreign characterization digest, or a plan that no longer
@@ -35,20 +35,21 @@
 //!
 //! One JSON file per entry, named by the hex key digest, in a flat
 //! directory (default `~/.cache/tce`, overridable with `--plan-cache`).
-//! `stats.json` holds the persistent hit/miss/eviction totals shown by
-//! `tce cache stats`.
+//! `stats.log` holds the persistent hit/miss/store/eviction history shown
+//! by `tce cache stats`: one appended line per event, the event's counter
+//! name, so concurrent processes never lose an increment.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
+use tce_check::{check_plan, ExecutionPlan, PlanOperand, PlanStep};
 use tce_cost::CostModel;
 use tce_dist::Distribution;
 use tce_expr::{canonical_form, CanonicalForm, ExprTree, Fnv128, IndexId, NodeId};
 use tce_fusion::FusionPrefix;
 
 use crate::dp::{NodeStats, Optimized, OptimizerConfig};
-use crate::plan::{validate_plan_basic, ExecutionPlan, PlanOperand, PlanStep};
 
 /// Schema stamp written into every entry; bump on any incompatible
 /// change to the entry layout.
@@ -260,19 +261,14 @@ pub struct LookupOutcome {
     pub evicted: Option<&'static str>,
 }
 
-/// Persistent totals kept in `stats.json` (process counters reset every
-/// run; `tce cache stats` wants history).
-#[derive(Default, Serialize, Deserialize)]
-struct StatsFile {
-    schema: String,
-    hit: u64,
-    miss: u64,
-    store: u64,
-    evict_corrupt: u64,
-    evict_version: u64,
-    evict_digest: u64,
-    evict_plan: u64,
-}
+/// The event log behind the persistent totals (process counters reset
+/// every run; `tce cache stats` wants history). Not a `.json` file, so it
+/// can never be mistaken for an entry.
+const STATS_LOG: &str = "stats.log";
+
+/// The read-modify-write totals file of older builds: never an entry,
+/// never read, removed by [`PlanCache::clear`].
+const LEGACY_STATS: &str = "stats.json";
 
 /// Aggregate cache state for `tce cache stats`.
 pub struct CacheStats {
@@ -327,26 +323,19 @@ impl PlanCache {
         self.dir.join(key.file_name())
     }
 
-    fn bump(&self, field: &'static str) {
-        let path = self.dir.join("stats.json");
-        let mut st: StatsFile = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|s| serde_json::from_str(&s).ok())
-            .unwrap_or_default();
-        st.schema = PLAN_CACHE_SCHEMA.to_string();
-        match field {
-            "hit" => st.hit += 1,
-            "miss" => st.miss += 1,
-            "store" => st.store += 1,
-            "evict_corrupt" => st.evict_corrupt += 1,
-            "evict_version" => st.evict_version += 1,
-            "evict_digest" => st.evict_digest += 1,
-            _ => st.evict_plan += 1,
+    /// Record one event: append the counter name as a line, in a single
+    /// `O_APPEND` write, so concurrent processes never overwrite each
+    /// other's increments. The newline leads the record, so a record torn
+    /// by a crash mid-write cannot swallow the next one.
+    fn bump(&self, counter: &'static str) {
+        use std::io::Write as _;
+        if std::fs::create_dir_all(&self.dir).is_err() {
+            return;
         }
-        if std::fs::create_dir_all(&self.dir).is_ok() {
-            if let Ok(json) = serde_json::to_string_pretty(&st) {
-                let _ = atomic_write(&path, &json);
-            }
+        let log =
+            std::fs::OpenOptions::new().create(true).append(true).open(self.dir.join(STATS_LOG));
+        if let Ok(mut log) = log {
+            let _ = log.write_all(format!("\n{counter}").as_bytes());
         }
     }
 
@@ -356,24 +345,24 @@ impl PlanCache {
     pub fn lookup(&self, tree: &ExprTree, cm: &CostModel, key: &CacheKey) -> LookupOutcome {
         let path = self.entry_path(key);
         let Ok(text) = std::fs::read_to_string(&path) else {
-            self.bump("miss");
+            self.bump(tce_obs::names::CACHE_MISS);
             return LookupOutcome { run: None, evicted: None };
         };
-        let evict = |reason: &'static str, field: &'static str| {
+        let evict = |reason: &'static str| {
             let _ = std::fs::remove_file(&path);
-            self.bump(field);
-            self.bump("miss");
+            self.bump(reason);
+            self.bump(tce_obs::names::CACHE_MISS);
             LookupOutcome { run: None, evicted: Some(reason) }
         };
         let entry: Entry = match serde_json::from_str(&text) {
             Ok(e) => e,
-            Err(_) => return evict(tce_obs::names::CACHE_EVICT_CORRUPT, "evict_corrupt"),
+            Err(_) => return evict(tce_obs::names::CACHE_EVICT_CORRUPT),
         };
         if entry.schema != PLAN_CACHE_SCHEMA || entry.code_version != CODE_VERSION {
-            return evict(tce_obs::names::CACHE_EVICT_VERSION, "evict_version");
+            return evict(tce_obs::names::CACHE_EVICT_VERSION);
         }
         if entry.cost_digest != hex128(key.cost_digest) {
-            return evict(tce_obs::names::CACHE_EVICT_DIGEST, "evict_digest");
+            return evict(tce_obs::names::CACHE_EVICT_DIGEST);
         }
         if entry.expr_hash != hex128(key.expr_hash)
             || entry.procs != key.procs
@@ -381,22 +370,22 @@ impl PlanCache {
             || entry.cfg_digest != hex128(key.cfg_digest)
             || entry.planner != key.planner
         {
-            return evict(tce_obs::names::CACHE_EVICT_CORRUPT, "evict_corrupt");
+            return evict(tce_obs::names::CACHE_EVICT_CORRUPT);
         }
         let Some(mut run) = instantiate(tree, cm, key, &entry) else {
-            return evict(tce_obs::names::CACHE_EVICT_PLAN, "evict_plan");
+            return evict(tce_obs::names::CACHE_EVICT_PLAN);
         };
         // A counter row this build does not emit (e.g. a retired one) means
         // another build wrote the entry: evict it as stale.
         let mut counters = tce_obs::Counters::new();
         for row in &entry.counters {
             let Some(name) = tce_obs::names::intern(&row.name) else {
-                return evict(tce_obs::names::CACHE_EVICT_VERSION, "evict_version");
+                return evict(tce_obs::names::CACHE_EVICT_VERSION);
             };
             counters.add(name, row.value);
         }
         run.opt.counters = counters;
-        self.bump("hit");
+        self.bump(tce_obs::names::CACHE_HIT);
         LookupOutcome { run: Some(Box::new(run)), evicted: None }
     }
 
@@ -470,7 +459,7 @@ impl PlanCache {
         let json = serde_json::to_string_pretty(&entry).map_err(|e| e.to_string())?;
         atomic_write(&self.entry_path(key), &json)
             .map_err(|e| format!("writing plan cache entry: {e}"))?;
-        self.bump("store");
+        self.bump(tce_obs::names::CACHE_STORE);
         Ok(())
     }
 
@@ -481,34 +470,31 @@ impl PlanCache {
             .map(|e| e.path())
             .filter(|p| {
                 p.extension().is_some_and(|x| x == "json")
-                    && p.file_name().is_some_and(|n| n != "stats.json")
+                    && p.file_name().is_some_and(|n| n != LEGACY_STATS)
             })
             .collect();
         files.sort();
         files
     }
 
-    /// Entry count, byte total, and the persistent counters.
+    /// Entry count, byte total, and the persistent counters summed over
+    /// the event log. A line that is not exactly a counter name (a torn
+    /// or corrupted record) is skipped on its own.
     pub fn stats(&self) -> CacheStats {
         let files = self.entry_files();
         let bytes = files.iter().filter_map(|p| std::fs::metadata(p).ok()).map(|m| m.len()).sum();
-        let st: StatsFile = std::fs::read_to_string(self.dir.join("stats.json"))
-            .ok()
-            .and_then(|s| serde_json::from_str(&s).ok())
-            .unwrap_or_default();
-        CacheStats {
-            entries: files.len() as u64,
-            bytes,
-            counters: vec![
-                (tce_obs::names::CACHE_HIT, st.hit),
-                (tce_obs::names::CACHE_MISS, st.miss),
-                (tce_obs::names::CACHE_STORE, st.store),
-                (tce_obs::names::CACHE_EVICT_CORRUPT, st.evict_corrupt),
-                (tce_obs::names::CACHE_EVICT_VERSION, st.evict_version),
-                (tce_obs::names::CACHE_EVICT_DIGEST, st.evict_digest),
-                (tce_obs::names::CACHE_EVICT_PLAN, st.evict_plan),
-            ],
+        let mut counters: Vec<(&'static str, u64)> = tce_obs::names::ALL
+            .iter()
+            .filter(|c| c.starts_with("cache."))
+            .map(|&c| (c, 0))
+            .collect();
+        let log = std::fs::read(self.dir.join(STATS_LOG)).unwrap_or_default();
+        for line in log.split(|&b| b == b'\n') {
+            if let Some(slot) = counters.iter_mut().find(|(c, _)| c.as_bytes() == line) {
+                slot.1 += 1;
+            }
         }
+        CacheStats { entries: files.len() as u64, bytes, counters }
     }
 
     /// Re-check every stored entry: parse, stamps, and — by rebuilding
@@ -526,8 +512,9 @@ impl PlanCache {
             .collect()
     }
 
-    /// Delete every entry file and the stats file; returns how many
-    /// entries were removed.
+    /// Delete every entry file and the event log (plus a `stats.json`
+    /// totals file left by older builds); returns how many entries were
+    /// removed.
     pub fn clear(&self) -> Result<u64, String> {
         let files = self.entry_files();
         let mut removed = 0u64;
@@ -535,7 +522,8 @@ impl PlanCache {
             std::fs::remove_file(f).map_err(|e| format!("removing {}: {e}", f.display()))?;
             removed += 1;
         }
-        let _ = std::fs::remove_file(self.dir.join("stats.json"));
+        let _ = std::fs::remove_file(self.dir.join(STATS_LOG));
+        let _ = std::fs::remove_file(self.dir.join(LEGACY_STATS));
         Ok(removed)
     }
 }
@@ -576,11 +564,9 @@ fn verify_entry(path: &Path) -> Result<String, String> {
     }
     let plan = plan_from_canonical(&entry.plan, &tree, &form)
         .ok_or("plan does not map onto the canonical form")?;
-    match crate::hook::plan_checker() {
-        Some(check) => check(&tree, &plan, None, None),
-        None => validate_plan_basic(&tree, &plan),
-    }
-    .map_err(|e| format!("plan fails static checks:\n{e}"))?;
+    check_plan(&tree, &plan, None, None)
+        .to_result()
+        .map_err(|e| format!("plan fails static checks:\n{e}"))?;
     Ok(format!("{} steps, comm {:.3} s", plan.steps.len(), plan.comm_cost))
 }
 
@@ -597,10 +583,7 @@ fn instantiate(
     // The gate: full static re-validation with the live cost model and
     // memory limit — the cost passes recompute every redistribution and
     // rotation bit-exactly and re-add the ledger.
-    match crate::hook::plan_checker() {
-        Some(check) => check(tree, &plan, Some(cm), Some(key.mem_limit_words)).ok()?,
-        None => validate_plan_basic(tree, &plan).ok()?,
-    }
+    check_plan(tree, &plan, Some(cm), Some(key.mem_limit_words)).to_result().ok()?;
     // The checker only sees the plan; tie the headline scalars to it so a
     // corrupted `comm_cost`/footprint cannot outlive plan validation.
     let drift = (entry.comm_cost - (plan.comm_cost + entry.output_redist_cost)).abs();

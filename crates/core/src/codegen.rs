@@ -8,10 +8,9 @@
 //! the virtual-cluster executor exactly (same nesting rules), so what you
 //! read is what `tce-sim` runs.
 
+use tce_check::{ExecutionPlan, PlanStep};
 use tce_dist::Operand;
 use tce_expr::{ExprTree, IndexId, NodeId};
-
-use crate::plan::{ExecutionPlan, PlanStep};
 
 struct Gen<'a> {
     tree: &'a ExprTree,

@@ -7,10 +7,11 @@
 //! and turns the optimizer into a capacity-planning tool ("how much would
 //! 2 GB more per node save us?").
 
+use tce_check::ExecutionPlan;
 use tce_expr::ExprTree;
 
 use crate::dp::Optimized;
-use crate::plan::{extract_plan_for, ExecutionPlan};
+use crate::plan::extract_plan_for;
 
 /// One point of the trade-off frontier.
 #[derive(Clone, Debug)]
@@ -86,7 +87,7 @@ mod tests {
         let frugal = &frontier[0];
         assert!(frugal.footprint_words <= cm.mem_limit_words());
         let plan = frontier_plan(&tree, &opt, frugal);
-        crate::plan::validate_plan(&tree, &plan).unwrap();
+        tce_check::validate_plan(&tree, &plan).unwrap();
         assert!((plan.comm_cost - frugal.comm_cost).abs() < 1e-9);
     }
 

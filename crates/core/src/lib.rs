@@ -38,7 +38,6 @@ mod dp;
 pub mod exhaustive;
 mod explain;
 mod frontier;
-mod hook;
 mod plan;
 pub mod portfolio;
 mod provenance;
@@ -52,11 +51,7 @@ pub use codegen::render_spmd;
 pub use dp::{optimize, NodeStats, OptimizeError, Optimized, OptimizerConfig, Planner};
 pub use explain::{explain, explain_from, Explanation};
 pub use frontier::{frontier_plan, root_frontier, FrontierPoint};
-pub use hook::{install_plan_checker, plan_checker, PlanChecker};
-pub use plan::{
-    extract_plan, extract_plan_for, validate_plan, validate_plan_basic, ExecutionPlan, PlanOperand,
-    PlanStep,
-};
+pub use plan::{extract_plan, extract_plan_for};
 pub use provenance::{
     build_provenance, render_provenance, report_json, KindProfile, NodeProvenance, Provenance,
     RunnerUp, KIND_NAMES,
@@ -64,3 +59,4 @@ pub use provenance::{
 pub use report::{build_report, render_plan_dot, render_report, ArrayRow, Report};
 pub use solution::{ChildBinding, Choice, KeySummary, Solution, SolutionSet};
 pub use stats::render_search_stats;
+pub use tce_check::{validate_plan, ExecutionPlan, PlanOperand, PlanStep};

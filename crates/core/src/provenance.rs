@@ -20,6 +20,7 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
+use tce_check::PlanStep;
 use tce_cost::{CommBreakdown, CostModel};
 use tce_dist::cannon::num_steps;
 use tce_dist::{CannonPattern, Distribution, Operand, ProcGrid};
@@ -27,7 +28,7 @@ use tce_expr::{ExprTree, NodeId, NodeKind};
 use tce_fusion::FusionPrefix;
 
 use crate::dp::Optimized;
-use crate::plan::{extract_plan, PlanStep};
+use crate::plan::extract_plan;
 use crate::solution::KeySummary;
 
 /// Kind names, in the simulator's `CommKind::ALL` order.

@@ -5,13 +5,12 @@
 //! communication costs of its rotations at the producing ("init.") and
 //! consuming ("final") contractions.
 
+use tce_check::ExecutionPlan;
 use tce_cost::compute::RuntimeSummary;
 use tce_cost::units::{fmt_paper_bytes, words_to_bytes};
 use tce_cost::CostModel;
 use tce_dist::dist_size;
 use tce_expr::{ExprTree, IndexSet, NodeId};
-
-use crate::plan::ExecutionPlan;
 
 /// One row of the table.
 #[derive(Clone, Debug)]

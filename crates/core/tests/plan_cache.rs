@@ -159,7 +159,14 @@ fn corrupt_and_stale_entries_are_evicted() {
     let out = cache.lookup(&tree, &cm, &key);
     assert_eq!(out.evicted, Some(tce_obs::names::CACHE_EVICT_PLAN));
 
-    // After every eviction the persistent totals tell the story.
+    // After every eviction the persistent totals tell the story — past a
+    // garbage line, a torn record that the next event lands right after,
+    // and a `stats.json` totals file left by an older build.
+    let log = cache.dir().join("stats.log");
+    let text = std::fs::read_to_string(&log).unwrap();
+    std::fs::write(&log, text + "\n\u{0}junk\ncache.evict_pl").unwrap();
+    std::fs::write(cache.dir().join("stats.json"), "{\"evict_plan\": 99}").unwrap();
+    cache.store(&tree, &key, &plan, &opt).unwrap();
     let stats = cache.stats();
     let get =
         |n: &str| stats.counters.iter().find(|(name, _)| *name == n).map(|&(_, v)| v).unwrap();
@@ -167,7 +174,10 @@ fn corrupt_and_stale_entries_are_evicted() {
     assert_eq!(get("cache.evict_version"), 1);
     assert_eq!(get("cache.evict_digest"), 1);
     assert_eq!(get("cache.evict_plan"), 1);
-    assert_eq!(get("cache.store"), 4);
+    assert_eq!(get("cache.store"), 5);
+    assert_eq!(stats.entries, 1, "stats.json counted as an entry");
+    assert_eq!(cache.clear().unwrap(), 1);
+    assert!(cache.stats().counters.iter().all(|&(_, v)| v == 0));
     let _ = std::fs::remove_dir_all(cache.dir());
 }
 
@@ -232,6 +242,43 @@ fn entry_with_unknown_counter_is_evicted_as_stale() {
     let out = cache.lookup(&tree, &cm, &key);
     assert!(out.run.is_none());
     assert_eq!(out.evicted, Some(tce_obs::names::CACHE_EVICT_VERSION));
+    assert!(!path.exists(), "evicted entry must be deleted");
+    let _ = std::fs::remove_dir_all(cache.dir());
+}
+
+/// The load gate is the full check registry in every binary that links
+/// `tce-core` — this one never calls an install step. Shift one operand
+/// rotation cost and both headline totals by the same amount: the step
+/// ledger still sums and the headline still matches the plan, so only the
+/// cost pass, which reprices every rotation from the live model, can tell.
+#[test]
+fn cost_corrupted_entry_is_evicted_without_setup() {
+    let tree = tree_of(&with_inputs(CHAIN, CHAIN_INPUTS));
+    let cm = CostModel::for_square(MachineModel::itanium_cluster(), 4).unwrap();
+    let cfg = OptimizerConfig { max_prefix_len: 2, threads: 1, ..Default::default() };
+    let opt = optimize(&tree, &cm, &cfg).unwrap();
+    let plan = extract_plan(&tree, &opt);
+    let cache = PlanCache::at(tmp_cache("cost-gate"));
+    let key = cache_key(&tree, &cm, &cfg).unwrap();
+    let path = cache.dir().join(key.file_name());
+    cache.store(&tree, &key, &plan, &opt).unwrap();
+
+    let rot = plan.steps.iter().flat_map(|s| &s.operands).map(|o| o.rotate_cost).find(|&c| c > 0.0);
+    let rot = rot.expect("the plan rotates some operand");
+    assert_eq!(opt.output_redist_cost, 0.0, "the headline total is the plan total");
+    let field = |name: &str, x: f64| format!("\"{name}\": {x:?}");
+    let (cost, total) = (field("rotate_cost", rot), field("comm_cost", plan.comm_cost));
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(text.contains(&cost), "stored rotation cost");
+    assert_eq!(text.matches(&total).count(), 2, "plan and headline totals");
+    let corrupted = text
+        .replacen(&cost, &field("rotate_cost", rot + 1.0), 1)
+        .replace(&total, &field("comm_cost", plan.comm_cost + 1.0));
+    std::fs::write(&path, corrupted).unwrap();
+
+    let out = cache.lookup(&tree, &cm, &key);
+    assert!(out.run.is_none(), "cost-corrupted entry was served");
+    assert_eq!(out.evicted, Some(tce_obs::names::CACHE_EVICT_PLAN));
     assert!(!path.exists(), "evicted entry must be deleted");
     let _ = std::fs::remove_dir_all(cache.dir());
 }

@@ -1,10 +1,13 @@
 //! End-to-end CLI coverage for the level-2 plan cache: a cold
 //! `tce optimize` stores an entry, the warm rerun hits it with
 //! byte-identical `--json` output, and the `tce cache` subcommands
-//! (`stats`, `verify`, `clear`) manage the directory.
+//! (`stats`, `verify`, `clear`) manage the directory — also when many
+//! processes share it at once.
 
 use std::path::Path;
-use std::process::Command;
+use std::process::{Command, Stdio};
+
+use tensor_contraction_opt::core::PlanCache;
 
 fn tce(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_tce")).args(args).output().expect("run tce")
@@ -86,12 +89,56 @@ fn cold_store_warm_hit_byte_identical_json_and_cache_subcommands() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Eight `tce optimize` processes share one cache directory, five rounds
+/// of eight at once. Every lookup must reach the persistent totals (hit +
+/// miss == 40), no store may fail, and the directory must verify clean.
+#[test]
+fn concurrent_processes_lose_no_stats_and_no_stores() {
+    const PROCS: usize = 8;
+    const ROUNDS: usize = 5;
+    let dir = std::env::temp_dir().join(format!("tce-cache-stress-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = dir.to_str().expect("utf-8 path");
+    let src = workload();
+    for _ in 0..ROUNDS {
+        let children: Vec<_> = (0..PROCS)
+            .map(|_| {
+                Command::new(env!("CARGO_BIN_EXE_tce"))
+                    .args(["optimize", &src, "--procs", "16", "--json", "--plan-cache", cache])
+                    .stdout(Stdio::null())
+                    .stderr(Stdio::piped())
+                    .spawn()
+                    .expect("spawn tce")
+            })
+            .collect();
+        for child in children {
+            let out = child.wait_with_output().expect("wait for tce");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(out.status.success(), "concurrent run failed: {err}");
+            assert!(!err.contains("store failed"), "concurrent store failed: {err}");
+        }
+    }
+
+    let lookups: u64 = PlanCache::at(&dir)
+        .stats()
+        .counters
+        .iter()
+        .filter(|(name, _)| ["cache.hit", "cache.miss"].contains(name))
+        .map(|&(_, n)| n)
+        .sum();
+    assert_eq!(lookups, (PROCS * ROUNDS) as u64, "lookups lost from the persistent totals");
+
+    let verify = tce(&["cache", "verify", "--plan-cache", cache]);
+    let verify_out = String::from_utf8_lossy(&verify.stdout);
+    assert!(verify.status.success(), "{}", String::from_utf8_lossy(&verify.stderr));
+    assert!(!verify_out.contains("BAD"), "verify: {verify_out}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn entries_remain(dir: &Path) -> bool {
     std::fs::read_dir(dir)
         .map(|d| {
-            d.filter_map(Result::ok).any(|e| {
-                e.file_name().to_string_lossy().ends_with(".json") && e.file_name() != "stats.json"
-            })
+            d.filter_map(Result::ok).any(|e| e.file_name().to_string_lossy().ends_with(".json"))
         })
         .unwrap_or(false)
 }

@@ -1204,11 +1204,47 @@ fn combine_contraction(
     let left_tensor = &tree.node(left).tensor;
     let right_tensor = &tree.node(right).tensor;
 
-    // One item per (pattern, triple), pattern-major — the serial nesting
-    // order, so every claimed run is a contiguous slice of the serial
-    // candidate stream (the precondition of [`SolutionSet::absorb`]).
-    let items: Vec<(usize, usize)> =
-        (0..patterns.len()).flat_map(|p| (0..triples.len()).map(move |t| (p, t))).collect();
+    // The fused loops surrounding this contraction under each triple.
+    let surroundings: Vec<(FusionPrefix, IndexSet)> = triples
+        .iter()
+        .map(|&(li, ri, ui)| {
+            let surrounding = lf_all[li].join(&rf_all[ri]).join(&my_prefixes[ui]).clone();
+            let set = surrounding.as_set();
+            (surrounding, set)
+        })
+        .collect();
+
+    // One item per feasible (pattern, triple), pattern-major — the serial
+    // nesting order, so every claimed run is a contiguous slice of the
+    // serial candidate stream (the precondition of [`SolutionSet::absorb`]).
+    // Two static rules decide feasibility before any pricing: the rotation
+    // step loop cannot be fused around the contraction, and (paper-faithful
+    // restriction, the `MsgFactor` formula's domain, lifted by
+    // `allow_unrelated_rotation`) every rotated array must carry all
+    // surrounding fused loops.
+    let mut items: Vec<(usize, usize)> = Vec::new();
+    for (p, pat) in patterns.iter().enumerate() {
+        let rot_index = pat.rotation_index();
+        let rotated_dims: Vec<IndexSet> = if cfg.allow_unrelated_rotation {
+            Vec::new()
+        } else {
+            pat.rotated_operands()
+                .into_iter()
+                .map(|op| match op {
+                    Operand::Left => left_tensor.dim_set(),
+                    Operand::Right => right_tensor.dim_set(),
+                    Operand::Result => result_tensor.dim_set(),
+                })
+                .collect()
+        };
+        for (t, (_, set)) in surroundings.iter().enumerate() {
+            if !rot_index.is_some_and(|k| set.contains(k))
+                && rotated_dims.iter().all(|dims| set.is_subset(dims))
+            {
+                items.push((p, t));
+            }
+        }
+    }
 
     type Caches = (
         HashMap<(usize, Distribution), OptSlate>,
@@ -1227,19 +1263,9 @@ fn combine_contraction(
             let ldist = pat.operand_dist(Operand::Left);
             let rdist = pat.operand_dist(Operand::Right);
             let odist = pat.operand_dist(Operand::Result);
-            let rot_index = pat.rotation_index();
             let (li, ri, ui) = triples[t];
             let (fl, fr, fu) = (&lf_all[li], &rf_all[ri], &my_prefixes[ui]);
-
-            // The fused loops surrounding this contraction.
-            let surrounding = fl.join(fr).join(fu).clone();
-            // The rotation step loop cannot be fused around the contraction.
-            if let Some(k) = rot_index {
-                if surrounding.contains(k) {
-                    continue;
-                }
-            }
-            let surround_set = surrounding.as_set();
+            let (surrounding, surround_set) = &surroundings[t];
             // Per-processor trip count of a surrounding loop: reduced when
             // the pattern distributes that index.
             let trip = |j: IndexId| -> u64 {
@@ -1252,22 +1278,6 @@ fn combine_contraction(
                     None => space.extent(j),
                 }
             };
-
-            // Paper-faithful restriction: every rotated array must carry
-            // all surrounding fused loops (the `MsgFactor` formula's
-            // domain). `allow_unrelated_rotation` lifts it.
-            if !cfg.allow_unrelated_rotation
-                && pat.rotated_operands().iter().any(|&op| {
-                    let dims = match op {
-                        Operand::Left => left_tensor.dim_set(),
-                        Operand::Right => right_tensor.dim_set(),
-                        Operand::Result => result_tensor.dim_set(),
-                    };
-                    !surround_set.is_subset(&dims)
-                })
-            {
-                continue;
-            }
 
             // Rotation costs and message sizes at this contraction.
             let mut rotate = [0.0f64; 3]; // left, right, result
@@ -1285,16 +1295,11 @@ fn combine_contraction(
                         space,
                         dist,
                         travel,
-                        &surround_set,
+                        surround_set,
                         trip,
                     );
-                    msg[slot] = tce_cost::rotate::message_words(
-                        tensor,
-                        space,
-                        cm.grid,
-                        dist,
-                        &surround_set,
-                    );
+                    msg[slot] =
+                        tce_cost::rotate::message_words(tensor, space, cm.grid, dist, surround_set);
                 }
             }
 

@@ -37,12 +37,6 @@ use crate::solution::SolutionSet;
 /// fall measurably behind serial — the regression `BENCH_5.json` recorded.
 pub(crate) const DEFAULT_SPAWN_AMORT_NS: u64 = 10_000_000;
 
-/// Blocks-per-worker fallback used before the model has a measurement
-/// (first node of a run). Deliberately conservative — twice the old static
-/// `MIN_ITEMS_PER_WORKER` — because mispredicting "spawn" costs real merge
-/// time while mispredicting "inline" costs only the first node's speedup.
-const UNCALIBRATED_BLOCKS_PER_WORKER: usize = 64;
-
 /// Guided run sizing: claim a quarter of the remaining region per grab,
 /// clamped to keep late grabs fine-grained and early grabs amortized.
 const MAX_RUN: usize = 32;
@@ -83,7 +77,10 @@ impl SpawnModel {
             return threads.min(blocks).max(1);
         }
         if !self.calibrated {
-            return threads.min(blocks / UNCALIBRATED_BLOCKS_PER_WORKER).max(1);
+            // No measurement yet (first node of a run): run inline.
+            // Mispredicting "spawn" costs real merge time, while running
+            // inline costs at most the first node's speedup.
+            return 1;
         }
         let predicted_ns = self.ns_per_block * blocks as f64;
         (((predicted_ns / amort_ns as f64) as usize).min(blocks)).clamp(1, threads)
@@ -283,11 +280,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn uncalibrated_model_uses_block_count_fallback() {
+    fn uncalibrated_model_runs_inline() {
         let m = SpawnModel { ns_per_block: 0.0, calibrated: false };
         assert_eq!(m.workers_for(10, 4, DEFAULT_SPAWN_AMORT_NS), 1);
-        assert_eq!(m.workers_for(64 * 3, 4, DEFAULT_SPAWN_AMORT_NS), 3);
-        assert_eq!(m.workers_for(64 * 8, 4, DEFAULT_SPAWN_AMORT_NS), 4);
+        assert_eq!(m.workers_for(64 * 3, 4, DEFAULT_SPAWN_AMORT_NS), 1);
+        assert_eq!(m.workers_for(1 << 20, 4, DEFAULT_SPAWN_AMORT_NS), 1);
     }
 
     #[test]

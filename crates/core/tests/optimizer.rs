@@ -522,3 +522,128 @@ S[a,p] = sum[c,r] T1[a,c] * T2[p,r];
         assert_eq!(value, with.counters.get(name), "counter {name} diverged");
     }
 }
+
+/// One pinned search: a shipped workload at 16 processors, 1 thread.
+struct Pinned {
+    workload: &'static str,
+    allow_unrelated_rotation: bool,
+    comm_bits: u64,
+    blocks: u64,
+    /// Every deterministic counter except `dp.blocks`, as `name=value`
+    /// pairs in the counter bag's order.
+    counters: &'static str,
+}
+
+/// Contraction blocks that cannot yield a candidate (rotation loop fused
+/// around the contraction, or — paper-faithful — a rotated operand missing
+/// a surrounding loop) are never scheduled. Filtering them must not change
+/// the work done: the optimum's cost bits and every deterministic counter
+/// except `dp.blocks` (which counts only feasible blocks) are pinned to
+/// the values of the unfiltered search, on both sides of
+/// `allow_unrelated_rotation`.
+#[test]
+fn block_filter_preserves_costs_and_counters() {
+    // Costs and counters recorded from the unfiltered search.
+    const PINNED: &[Pinned] = &[
+        Pinned {
+            workload: "ccsd",
+            allow_unrelated_rotation: false,
+            comm_bits: 0x40a0f92a5a469d72,
+            blocks: 360, // 28,032 unfiltered
+            counters: "dp.arena_hw_bytes=42944 dp.candidates=1196 dp.frontier=76 dp.nodes=3 dp.pruned_inferior=942 dp.pruned_memory=128 dp.redist_fallbacks=900 lb.floor_fallback=0",
+        },
+        Pinned {
+            workload: "ccsd",
+            allow_unrelated_rotation: true,
+            comm_bits: 0x409ad1d38177fd48,
+            blocks: 18312, // 38,112 unfiltered
+            counters: "dp.arena_hw_bytes=1017280 dp.candidates=193776 dp.frontier=2058 dp.nodes=3 dp.pruned_inferior=185358 dp.pruned_memory=4864 dp.redist_fallbacks=162960 lb.floor_fallback=0",
+        },
+        Pinned {
+            workload: "ladder",
+            allow_unrelated_rotation: false,
+            comm_bits: 0x406001351159c496,
+            blocks: 492, // 36,924 unfiltered
+            counters: "dp.arena_hw_bytes=176000 dp.candidates=5504 dp.frontier=318 dp.nodes=4 dp.pruned_inferior=4826 dp.pruned_memory=0 dp.redist_fallbacks=4830 lb.floor_fallback=0",
+        },
+        Pinned {
+            workload: "ladder",
+            allow_unrelated_rotation: true,
+            comm_bits: 0x406001351159c496,
+            blocks: 23604, // 49,092 unfiltered
+            counters: "dp.arena_hw_bytes=6219840 dp.candidates=254428 dp.frontier=9034 dp.nodes=4 dp.pruned_inferior=231639 dp.pruned_memory=0 dp.redist_fallbacks=213470 lb.floor_fallback=0",
+        },
+        Pinned {
+            workload: "transform",
+            allow_unrelated_rotation: false,
+            comm_bits: 0x4044a5d70b703930,
+            blocks: 300, // 11,520 unfiltered
+            counters: "dp.arena_hw_bytes=186560 dp.candidates=2452 dp.frontier=388 dp.nodes=4 dp.pruned_inferior=1654 dp.pruned_memory=0 dp.redist_fallbacks=2102 lb.floor_fallback=0",
+        },
+        Pinned {
+            workload: "transform",
+            allow_unrelated_rotation: true,
+            comm_bits: 0x4044a5d70b703930,
+            blocks: 9408, // 19,476 unfiltered
+            counters: "dp.arena_hw_bytes=4800576 dp.candidates=73470 dp.frontier=8022 dp.nodes=4 dp.pruned_inferior=56550 dp.pruned_memory=0 dp.redist_fallbacks=60786 lb.floor_fallback=0",
+        },
+        Pinned {
+            workload: "repeated",
+            allow_unrelated_rotation: false,
+            comm_bits: 0x4016fd32c625e99c,
+            blocks: 402, // 21,858 unfiltered
+            counters: "dp.arena_hw_bytes=34496 dp.candidates=1264 dp.frontier=88 dp.nodes=11 dp.pruned_inferior=1097 dp.pruned_memory=0 dp.redist_fallbacks=708 lb.floor_fallback=0",
+        },
+        Pinned {
+            workload: "repeated",
+            allow_unrelated_rotation: true,
+            comm_bits: 0x4016fd32c625e99c,
+            blocks: 11562, // 23,712 unfiltered
+            counters: "dp.arena_hw_bytes=1182368 dp.candidates=162492 dp.frontier=1984 dp.nodes=11 dp.pruned_inferior=157177 dp.pruned_memory=0 dp.redist_fallbacks=94012 lb.floor_fallback=0",
+        },
+        Pinned {
+            workload: "ccsd_tiny",
+            allow_unrelated_rotation: false,
+            comm_bits: 0x4010b8fb5705259b,
+            blocks: 1128, // 48,386 unfiltered
+            counters: "dp.arena_hw_bytes=1425424 dp.candidates=33560 dp.frontier=3262 dp.nodes=10 dp.pruned_inferior=25797 dp.pruned_memory=0 dp.redist_fallbacks=29152 lb.floor_fallback=0",
+        },
+    ];
+    let mut diverged = String::new();
+    for p in PINNED {
+        let path = format!("{}/../../workloads/{}.tce", env!("CARGO_MANIFEST_DIR"), p.workload);
+        let src = std::fs::read_to_string(&path).unwrap();
+        let tree = tce_opmin::lower_program(&parse(&src).unwrap()).unwrap().to_tree().unwrap();
+        let cfg = OptimizerConfig {
+            threads: 1,
+            allow_unrelated_rotation: p.allow_unrelated_rotation,
+            ..Default::default()
+        };
+        let opt = optimize(&tree, &cm(16), &cfg).unwrap();
+        let counters: Vec<String> = opt
+            .counters
+            .iter()
+            .filter(|&(name, _)| {
+                name != tce_obs::names::BLOCKS
+                    && !tce_obs::NONDETERMINISTIC_COUNTERS.contains(&name)
+            })
+            .map(|(name, value)| format!("{name}={value}"))
+            .collect();
+        let line = format!(
+            "{} unrelated={} comm_bits={:#x} blocks={} counters=\"{}\"",
+            p.workload,
+            p.allow_unrelated_rotation,
+            opt.comm_cost.to_bits(),
+            opt.counters.get(tce_obs::names::BLOCKS),
+            counters.join(" ")
+        );
+        let expected = format!(
+            "{} unrelated={} comm_bits={:#x} blocks={} counters=\"{}\"",
+            p.workload, p.allow_unrelated_rotation, p.comm_bits, p.blocks, p.counters
+        );
+        if line != expected {
+            diverged.push_str(&format!("  got  {line}\n  want {expected}\n"));
+        }
+    }
+    assert!(diverged.is_empty(), "pinned searches diverged:\n{diverged}");
+}

@@ -29,12 +29,6 @@
 //!   per-node minima sum to a footprint every feasible plan must pay.
 //!   [`prove_memory_infeasible`] turns this into a pre-search rejection
 //!   of impossible `(expression, memory limit)` pairs.
-//! * **Memory-dependent bound** ([`comm_lower_bound_with_limit`]):
-//!   restricts each node's pattern/surrounding enumeration to
-//!   combinations whose own storage, on top of every *other* node's
-//!   memory floor, still fits the limit — never below the
-//!   memory-independent bound, and `None` when some node has no feasible
-//!   combination at all (a stronger infeasibility proof).
 //!
 //! Admissibility argument: minimizing the exact kernel over a superset of
 //! reachable configurations can only under-estimate; floating-point
@@ -123,41 +117,53 @@ pub fn node_comm_floor_detailed(
         (&n.tensor, Operand::Result),
     ];
 
+    // Surroundings are bitmasks over `loops` (bit b = `loops[b]`); each
+    // operand's dims as the mask of the loops it carries.
+    let dim_masks = operands.map(|(tensor, _)| {
+        let dims = tensor.dim_set();
+        loops
+            .iter()
+            .enumerate()
+            .filter(|&(_, &j)| dims.contains(j))
+            .map(|(b, _)| 1u64 << b)
+            .sum::<u64>()
+    });
+
     let mut best = f64::INFINITY;
     for pat in &patterns {
         let ldist = pat.operand_dist(Operand::Left);
         let rdist = pat.operand_dist(Operand::Right);
         let odist = pat.operand_dist(Operand::Result);
-        let rot_index = pat.rotation_index();
-        // Per-processor trip count of a surrounding loop — the DP's rule,
-        // verbatim, so per-combination values match it bit for bit.
-        let trip = |j: IndexId| -> u64 {
-            let dim = odist
-                .position_of(j)
-                .or_else(|| ldist.position_of(j))
-                .or_else(|| rdist.position_of(j));
-            match dim {
-                Some(d) => tce_dist::block_len(space.extent(j), cm.grid.extent(d)),
-                None => space.extent(j),
-            }
-        };
+        // The rotation step loop cannot be fused around the contraction.
+        let rot_bit = pat
+            .rotation_index()
+            .and_then(|k| loops.iter().position(|&j| j == k))
+            .map_or(0, |b| 1u64 << b);
+        // Per-processor trip count of each surrounding loop — the DP's
+        // rule, verbatim, so per-combination values match it bit for bit.
+        let trips: Vec<u128> = loops
+            .iter()
+            .map(|&j| {
+                let dim = odist
+                    .position_of(j)
+                    .or_else(|| ldist.position_of(j))
+                    .or_else(|| rdist.position_of(j));
+                u128::from(match dim {
+                    Some(d) => tce_dist::block_len(space.extent(j), cm.grid.extent(d)),
+                    None => space.extent(j),
+                })
+            })
+            .collect();
         // The rotation kernel factors as (Π_{j∈S} trip(j)) × RCost(sliced
         // block): cache the RCost base per (operand, S ∩ dims) so the 2^|S|
         // sweep multiplies cached bases instead of re-interpolating.
-        let mut bases: [HashMap<IndexSet, f64>; 3] = Default::default();
+        let mut bases: [HashMap<u64, f64>; 3] = Default::default();
         for mask in 0u64..(1u64 << loops.len()) {
-            let surround: IndexSet = loops
-                .iter()
-                .enumerate()
-                .filter(|&(b, _)| mask >> b & 1 == 1)
-                .map(|(_, &j)| j)
-                .collect();
-            if let Some(k) = rot_index {
-                if surround.contains(k) {
-                    continue; // the step loop cannot be fused around it
-                }
+            if mask & rot_bit != 0 {
+                continue;
             }
-            let factor: u128 = surround.iter().map(|j| trip(j) as u128).product();
+            let factor: u128 =
+                (0..loops.len()).filter(|&b| mask >> b & 1 == 1).map(|b| trips[b]).product();
             // Left, right, result — the DP's summation order.
             let mut total = 0.0f64;
             for (slot, &(tensor, op)) in operands.iter().enumerate() {
@@ -167,8 +173,14 @@ pub fn node_comm_floor_detailed(
                     Operand::Right => rdist,
                     Operand::Result => odist,
                 };
-                let sliced: IndexSet = surround.intersection(&tensor.dim_set());
-                let base = *bases[slot].entry(sliced.clone()).or_insert_with(|| {
+                let sliced = mask & dim_masks[slot];
+                let base = *bases[slot].entry(sliced).or_insert_with(|| {
+                    let sliced: IndexSet = loops
+                        .iter()
+                        .enumerate()
+                        .filter(|&(b, _)| sliced >> b & 1 == 1)
+                        .map(|(_, &j)| j)
+                        .collect();
                     let words = dist_size(tensor, space, cm.grid, dist, &sliced);
                     cm.chr.rcost(cm.grid.extent(travel), travel, (words * WORD_BYTES) as f64)
                 });
@@ -343,134 +355,6 @@ pub fn prove_memory_infeasible(
     })
 }
 
-/// The memory-dependent communication lower bound: like
-/// [`comm_lower_bound`], but each contraction node's pattern/surrounding
-/// minimum is restricted to combinations whose own result storage — on
-/// top of every other node's memory floor — still fits `limit_words`
-/// (every surviving candidate's footprint dominates that sum, so the
-/// restriction is admissible). Returns `None` when some node has no
-/// feasible combination at all or the footprint floor alone exceeds the
-/// limit: a proof that no plan fits. Always ≥ the memory-independent
-/// bound when `Some`.
-pub fn comm_lower_bound_with_limit(
-    tree: &ExprTree,
-    cm: &CostModel,
-    limit_words: u128,
-    prefix_cap: usize,
-    allow_replication: bool,
-) -> Option<f64> {
-    let mem_floors: HashMap<NodeId, u128> = tree
-        .postorder()
-        .into_iter()
-        .map(|node| (node, node_mem_floor(tree, cm, node, prefix_cap)))
-        .collect();
-    let total_mem_floor: u128 = mem_floors.values().sum();
-    if total_mem_floor > limit_words {
-        return None;
-    }
-    let mut total = 0.0f64;
-    for node in tree.postorder() {
-        let others = total_mem_floor - mem_floors[&node];
-        let budget = limit_words - others; // ≥ mem_floors[&node] ≥ 0
-        match node_comm_floor_under(tree, cm, node, budget, allow_replication) {
-            Some(floor) => total += floor,
-            None => return None,
-        }
-    }
-    Some(total)
-}
-
-/// [`node_comm_floor`] restricted to combinations whose minimal result
-/// storage fits `budget_words`; `None` when a proper contraction has no
-/// feasible combination (the infeasibility case — non-contraction nodes
-/// always return `Some(0.0)`).
-fn node_comm_floor_under(
-    tree: &ExprTree,
-    cm: &CostModel,
-    node: NodeId,
-    budget_words: u128,
-    allow_replication: bool,
-) -> Option<f64> {
-    let n = tree.node(node);
-    let NodeKind::Contract { left, right, .. } = n.kind else {
-        return Some(0.0);
-    };
-    let Ok(groups) = tree.contraction_groups(node) else {
-        return Some(0.0);
-    };
-    let patterns = enumerate_patterns(&groups, allow_replication);
-    let loops: Vec<IndexId> = n.loop_indices().iter().collect();
-    if patterns.is_empty()
-        || loops.len() >= usize::BITS as usize
-        || patterns.len().saturating_mul(1usize << loops.len()) > MAX_COMBOS_PER_NODE
-    {
-        return Some(0.0); // floor falls back to zero, never to infeasible
-    }
-    let space = &tree.space;
-    let operands: [(&Tensor, Operand); 3] = [
-        (&tree.node(left).tensor, Operand::Left),
-        (&tree.node(right).tensor, Operand::Right),
-        (&n.tensor, Operand::Result),
-    ];
-    let mut best: Option<f64> = None;
-    for pat in &patterns {
-        let ldist = pat.operand_dist(Operand::Left);
-        let rdist = pat.operand_dist(Operand::Right);
-        let odist = pat.operand_dist(Operand::Result);
-        let rot_index = pat.rotation_index();
-        let trip = |j: IndexId| -> u64 {
-            let dim = odist
-                .position_of(j)
-                .or_else(|| ldist.position_of(j))
-                .or_else(|| rdist.position_of(j));
-            match dim {
-                Some(d) => tce_dist::block_len(space.extent(j), cm.grid.extent(d)),
-                None => space.extent(j),
-            }
-        };
-        let mut bases: [HashMap<IndexSet, f64>; 3] = Default::default();
-        for mask in 0u64..(1u64 << loops.len()) {
-            let surround: IndexSet = loops
-                .iter()
-                .enumerate()
-                .filter(|&(b, _)| mask >> b & 1 == 1)
-                .map(|(_, &j)| j)
-                .collect();
-            if let Some(k) = rot_index {
-                if surround.contains(k) {
-                    continue;
-                }
-            }
-            // A candidate built from (pat, S) fuses fu ⊆ S at this node, so
-            // its storage is at least dist_size with the whole of S fused.
-            if dist_size(&n.tensor, space, cm.grid, odist, &surround) > budget_words {
-                continue;
-            }
-            let factor: u128 = surround.iter().map(|j| trip(j) as u128).product();
-            let mut total = 0.0f64;
-            for (slot, &(tensor, op)) in operands.iter().enumerate() {
-                let Some(travel) = pat.travel_dim(op) else { continue };
-                let dist = match op {
-                    Operand::Left => ldist,
-                    Operand::Right => rdist,
-                    Operand::Result => odist,
-                };
-                let sliced: IndexSet = surround.intersection(&tensor.dim_set());
-                let base = *bases[slot].entry(sliced.clone()).or_insert_with(|| {
-                    let words = dist_size(tensor, space, cm.grid, dist, &sliced);
-                    cm.chr.rcost(cm.grid.extent(travel), travel, (words * WORD_BYTES) as f64)
-                });
-                total += factor as f64 * base;
-            }
-            best = Some(match best {
-                Some(b) if b <= total => b,
-                _ => total,
-            });
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,21 +383,6 @@ mod tests {
     }
 
     #[test]
-    fn floors_are_monotone_in_the_memory_limit() {
-        let tree = matmul(64);
-        let cm = cm4();
-        let free = comm_lower_bound(&tree, &cm, false);
-        let loose = comm_lower_bound_with_limit(&tree, &cm, u128::MAX, 2, false).unwrap();
-        assert!((loose - free).abs() <= 1e-12 * free.abs().max(1.0));
-        // Tightening the limit can only raise (or keep) the bound.
-        let floor = mem_floor_words(&tree, &cm, 2);
-        let tight = comm_lower_bound_with_limit(&tree, &cm, floor, 2, false);
-        if let Some(t) = tight {
-            assert!(t >= loose - 1e-12 * loose.abs().max(1.0), "{t} < {loose}");
-        }
-    }
-
-    #[test]
     fn mem_floor_never_exceeds_a_real_plan_footprint() {
         // Leaves stored in full minimal blocks + root: for 64×64 arrays on
         // a 2×2 grid the floor is 3 · 64·64/4 = 3072 words.
@@ -533,7 +402,6 @@ mod tests {
         assert_eq!(proof.limit_words, floor - 1);
         assert!(!proof.largest_node.is_empty());
         assert!(proof.largest_words > 0);
-        assert!(comm_lower_bound_with_limit(&tree, &cm, floor - 1, 2, false).is_none());
     }
 
     #[test]

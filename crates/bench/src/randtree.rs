@@ -392,8 +392,9 @@ pub fn random_tree(seed: u64, p: &TreeParams) -> ExprTree {
 /// contraction whose combine stream dwarfs every other node, surrounded by
 /// trivial reduce / element-wise nodes that each produce only a handful of
 /// combine blocks. A contiguous equal-count partition of such a tree's
-/// per-node streams leaves most workers idle while one drags; work
-/// stealing must rebalance it — and still merge bit-identically. All
+/// per-node streams leaves most workers idle while one drags; the
+/// key-partitioned scheduler must balance it — and still merge
+/// bit-identically. All
 /// extents are even (multiples of 2), so 2×2 grids divide them.
 /// Deterministic in `seed`.
 pub fn skewed_tree(seed: u64) -> ExprTree {

@@ -21,8 +21,7 @@
 //! run, so trend plots over the `BENCH_<N>.json` series don't chase
 //! outliers). `candidates_per_sec` is derived from each. Every other
 //! field is deterministic — counters are bit-identical across runs and,
-//! except for `dp.memo_*`/`dp.bnb_*`/`dp.steal`, across thread counts
-//! too.
+//! except for `dp.memo_*`, across thread counts too.
 
 use std::time::Instant;
 

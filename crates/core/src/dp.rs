@@ -112,13 +112,12 @@ pub struct OptimizerConfig {
     /// Worker threads for the per-node candidate enumeration (`0` = use
     /// [`std::thread::available_parallelism`]). Any thread count produces
     /// bit-identical plans, costs, and search counters: workers claim
-    /// contiguous runs of the serial combine-block stream through the
-    /// work-stealing scheduler and their frontiers are merged back in
-    /// serial-stream order (see [`crate::sched`] and
-    /// [`SolutionSet::absorb`]).
+    /// whole frontier keys (dominance never crosses keys) and their arenas
+    /// are gathered back in serial block order (see [`crate::sched`] and
+    /// [`SolutionSet::gather`]).
     pub threads: usize,
     /// Adaptive spawn threshold override: nanoseconds of predicted serial
-    /// enumeration per extra worker. `None` = default (10 ms — nodes
+    /// enumeration per extra worker. `None` = default (1 ms — nodes
     /// predicted cheaper than the floor run inline so spawn + merge can
     /// never lose to serial); `Some(0)` forces maximal spawning, which the
     /// equivalence tests and fuzz oracles use to exercise the parallel
@@ -575,9 +574,11 @@ pub(crate) fn search(
     }
     struct ReuseEntry {
         form: tce_expr::canon::SubtreeForm,
-        /// Post-compaction clone of the completed frontier (counters and
-        /// every live/key statistic survive compaction unchanged).
-        set: SolutionSet,
+        /// The node whose completed frontier is replayed: `sets[&src]` is
+        /// compacted and never mutated after insertion (counters and every
+        /// live/key statistic survive compaction unchanged), so a hit
+        /// clones it then and a miss costs no copy.
+        src: NodeId,
         /// The fresh run's pre-compaction arena size, replayed into the
         /// `arena_hw` accounting so the reported high-water matches a
         /// reuse-off run bit-for-bit.
@@ -647,7 +648,7 @@ pub(crate) fn search(
         });
         let (enum_stats, pre_compact_bytes) =
             if let (Some(entry), Some(form)) = (replay, forms.get(&node)) {
-                let mut replayed = entry.set.clone();
+                let mut replayed = sets[&entry.src].clone();
                 let index_map: HashMap<IndexId, IndexId> = entry
                     .form
                     .index_order
@@ -664,7 +665,6 @@ pub(crate) fn search(
                     workers: 1,
                     merge_us: 0,
                     blocks: entry.blocks,
-                    steals: 0,
                     busy_us: Vec::new(),
                 };
                 (synth, entry.pre_compact_arena_bytes)
@@ -742,18 +742,15 @@ pub(crate) fn search(
         counters.add(tce_obs::names::PRUNED_MEMORY, set.pruned_memory);
         counters.add(tce_obs::names::REDIST_FALLBACKS, set.redist_fallbacks);
         counters.add(tce_obs::names::FRONTIER, set.total_live());
-        // Like the memo pair, the corner-skip totals depend on worker
-        // interleaving (worker-local frontiers differ), so equivalence
-        // checks skip them; every other counter is interleaving-invariant.
+        // The skip totals count how work was avoided, not its outcome;
+        // each key's skips are the serial run's, so they are identical at
+        // every thread count.
         counters.add(tce_obs::names::BNB_SKIP, set.bnb_skip);
         counters.add(tce_obs::names::BNB_BLOCK, set.bnb_block);
         counters.add(tce_obs::names::BNB_WARM, set.bnb_warm);
-        // Scheduler counters: block count is the serial item count (a pure
-        // function of the search space, identical at every thread count);
-        // the steal total is a race outcome and joins the memo/bnb families
-        // in `NONDETERMINISTIC_COUNTERS`.
+        // The block count is the serial item count (a pure function of the
+        // search space, identical at every thread count).
         counters.add(tce_obs::names::BLOCKS, enum_stats.blocks);
-        counters.add(tce_obs::names::STEAL, enum_stats.steals);
         // Memo totals are cumulative over the run; `set` overwrites the
         // previous node's sample. Hit/miss counts depend on how worker
         // threads interleave, so equivalence checks must skip them.
@@ -772,7 +769,6 @@ pub(crate) fn search(
         node_span.arg("workers", enum_stats.workers);
         node_span.arg("merge_us", enum_stats.merge_us);
         node_span.arg("blocks", enum_stats.blocks);
-        node_span.arg("steals", enum_stats.steals);
         drop(node_span);
         // Sample the cumulative counters so the trace shows them growing
         // node by node.
@@ -810,12 +806,11 @@ pub(crate) fn search(
         // later — so drop them and free their decision records.
         set.compact();
         // Memoize the completed (compacted) frontier for later isomorphic
-        // subtrees. First entry per key wins; a replayed set is already
-        // stored under this key, so `or_insert_with` never clones it.
+        // subtrees. First entry per key wins.
         if let (Some(k), Some(form)) = (reuse_key, forms.get(&node)) {
             reuse.entry(k).or_insert_with(|| ReuseEntry {
                 form: form.clone(),
-                set: set.clone(),
+                src: node,
                 pre_compact_arena_bytes: pre_compact_bytes,
                 blocks: enum_stats.blocks,
             });
@@ -907,27 +902,45 @@ struct ChildOpt {
     redist_cost: f64,
 }
 
-/// A child's option list plus suffix aggregates over it, all in the
-/// **original** option order (the enumeration order is part of the
-/// bit-identity contract, so options are never re-sorted — the suffix
-/// tables make the admissible tail bound cheap anyway):
+/// A child's option list, split into the options the combine loops price
+/// and the ones they only count, plus suffix aggregates over the priced
+/// ones, all in the **original** option order (the enumeration order is
+/// part of the bit-identity contract, so options are never re-sorted — the
+/// suffix tables make the admissible tail bound cheap anyway):
 ///
+/// * `opts` — the options no earlier option matches or beats on all four
+///   kernel inputs (comm, redist, mem, msg), in order; `dropped` — the
+///   rest, in order. Every combine kernel is monotone in each of those
+///   inputs, so a candidate built from a dropped option is matched or
+///   beaten on cost, memory and message by the candidate that uses its
+///   dominator instead, which the serial stream offers earlier under the
+///   same key: the serial run rejects it (memory limit first, dominance
+///   otherwise) and it is counted, never priced ([`account_dropped`]).
+///   With pruning off nothing is dropped;
 /// * `floors[i]` — per-axis minimum of `(comm_cost + redist_cost,
 ///   mem_words, max_msg_words)` over `opts[i..]` (the lower-bound corner);
+///   `floors[0]` equals the minimum over all options, dropped ones
+///   included, since each dropped option has a kept dominator;
 /// * `sfx_max_mem[i]` / `sfx_max_msg[i]` — per-axis maxima over `opts[i..]`
 ///   (an upper bound proving a whole skipped block fits the memory limit);
 /// * `sfx_noredist[i]` — options in `opts[i..]` with zero redistribution
 ///   cost (for O(1) `redist_fallbacks` accounting of skipped blocks);
+/// * `max_mem` / `max_msg` / `dropped_noredist` — the same aggregates over
+///   all options (resp. the dropped ones), for [`account_dropped`];
 /// * `comm`/`redist`/`mem`/`msg` — structure-of-arrays columns of `opts`,
 ///   the inputs of the batched [`tce_cost::kernel`] combine kernels (one
 ///   contiguous lane stream per row of the combine loop, in place of a
 ///   pointer-chasing scalar chain per candidate).
 struct OptSlate {
     opts: Vec<ChildOpt>,
+    dropped: Vec<ChildOpt>,
     floors: Vec<(f64, u128, u128)>,
     sfx_max_mem: Vec<u128>,
     sfx_max_msg: Vec<u128>,
     sfx_noredist: Vec<u64>,
+    max_mem: u128,
+    max_msg: u128,
+    dropped_noredist: u64,
     comm: Vec<f64>,
     redist: Vec<f64>,
     mem: Vec<u128>,
@@ -935,7 +948,10 @@ struct OptSlate {
 }
 
 impl OptSlate {
-    fn new(opts: Vec<ChildOpt>) -> Self {
+    /// Build a slate; `filter` drops the dominated options (only sound
+    /// while dominance pruning is on).
+    fn new(all: Vec<ChildOpt>, filter: bool) -> Self {
+        let (opts, dropped) = if filter { split_dominated(all) } else { (all, Vec::new()) };
         let floors = tce_cost::bound::suffix_floors(
             opts.iter().map(|o| (o.comm_cost + o.redist_cost, o.mem_words, o.max_msg_words)),
         );
@@ -952,29 +968,131 @@ impl OptSlate {
             sfx_max_msg[i] = msg;
             sfx_noredist[i] = nored;
         }
+        for o in &dropped {
+            mem = mem.max(o.mem_words);
+            msg = msg.max(o.max_msg_words);
+        }
         Self {
             floors,
             sfx_max_mem,
             sfx_max_msg,
             sfx_noredist,
+            max_mem: mem,
+            max_msg: msg,
+            dropped_noredist: dropped.iter().filter(|o| o.redist_cost == 0.0).count() as u64,
             comm: opts.iter().map(|o| o.comm_cost).collect(),
             redist: opts.iter().map(|o| o.redist_cost).collect(),
             mem: opts.iter().map(|o| o.mem_words).collect(),
             msg: opts.iter().map(|o| o.max_msg_words).collect(),
             opts,
+            dropped,
         }
     }
+
+    /// Kept options with zero redistribution cost.
+    fn kept_noredist(&self) -> u64 {
+        self.sfx_noredist.first().copied().unwrap_or(0)
+    }
+}
+
+/// Split `all` into the options that no earlier option matches or beats on
+/// comm, redist, mem and msg (kept) and the rest (dropped), both in order.
+/// Comparing against the kept options alone suffices: a dropped option's
+/// dominator is kept or itself dominated by a kept one (`≤` is transitive).
+fn split_dominated(all: Vec<ChildOpt>) -> (Vec<ChildOpt>, Vec<ChildOpt>) {
+    let mut kept: Vec<ChildOpt> = Vec::with_capacity(all.len());
+    let mut dropped = Vec::new();
+    for o in all {
+        let beaten = kept.iter().any(|k| {
+            k.comm_cost <= o.comm_cost
+                && k.redist_cost <= o.redist_cost
+                && k.mem_words <= o.mem_words
+                && k.max_msg_words <= o.max_msg_words
+        });
+        if beaten {
+            dropped.push(o);
+        } else {
+            kept.push(o);
+        }
+    }
+    (kept, dropped)
 }
 
 /// Per-worker scratch for the batched combine kernels: one reusable column
 /// per candidate attribute, refilled row by row. Lives in the scheduler's
-/// per-worker state so allocations amortize across every run the worker
-/// claims.
+/// per-worker state so allocations amortize across every block the worker
+/// runs.
 #[derive(Default)]
 struct KernelScratch {
     cost: Vec<f64>,
     mem: Vec<u128>,
     msg: Vec<u128>,
+}
+
+/// Account the candidates of a two-child block that use a dropped option —
+/// `l.opts × r.dropped` and `l.dropped × (r.opts ∪ r.dropped)` — with the
+/// classification [`SolutionSet::try_insert`] gives them in the serial
+/// run: over the memory limit first, dominated otherwise (see
+/// [`OptSlate`]). O(1) when the all-option maxima prove every pair fits;
+/// exact per-pair fallback otherwise. One `bnb_block` event per block that
+/// dropped anything.
+fn account_dropped(
+    local: &mut SolutionSet,
+    l: &OptSlate,
+    r: &OptSlate,
+    my_mem: u128,
+    block_msg: u128,
+    limit: u128,
+) {
+    let (lk, ld) = (l.opts.len() as u64, l.dropped.len() as u64);
+    let (rk, rd) = (r.opts.len() as u64, r.dropped.len() as u64);
+    let n = lk * rd + ld * (rk + rd);
+    if n == 0 {
+        return;
+    }
+    let max_fp = l.max_mem + r.max_mem + my_mem + block_msg.max(l.max_msg).max(r.max_msg);
+    if max_fp <= limit {
+        let (lnk, lnd) = (l.kept_noredist(), l.dropped_noredist);
+        let (rnk, rnd) = (r.kept_noredist(), r.dropped_noredist);
+        let nored = lnk * rnd + lnd * (rnk + rnd);
+        local.account_skipped_many(n, n - nored, 0);
+    } else {
+        let kept_rows = l.opts.iter().flat_map(|a| r.dropped.iter().map(move |b| (a, b)));
+        let dropped_rows =
+            l.dropped.iter().flat_map(|a| r.opts.iter().chain(&r.dropped).map(move |b| (a, b)));
+        for (a, b) in kept_rows.chain(dropped_rows) {
+            local.account_skipped(
+                a.redist_cost > 0.0 || b.redist_cost > 0.0,
+                a.mem_words
+                    + b.mem_words
+                    + my_mem
+                    + block_msg.max(a.max_msg_words).max(b.max_msg_words),
+                limit,
+            );
+        }
+    }
+    local.bnb_block += 1;
+}
+
+/// [`account_dropped`] for a one-child (reduce) block: its dropped options'
+/// candidates, footprint `mem + my_mem + msg`.
+fn account_dropped_child(local: &mut SolutionSet, c: &OptSlate, my_mem: u128, limit: u128) {
+    let n = c.dropped.len() as u64;
+    if n == 0 {
+        return;
+    }
+    if c.max_mem + my_mem + c.max_msg <= limit {
+        local.account_skipped_many(n, n - c.dropped_noredist, 0);
+    } else {
+        for o in &c.dropped {
+            local.account_skipped(
+                o.redist_cost > 0.0,
+                o.mem_words + my_mem + o.max_msg_words,
+                limit,
+            );
+        }
+    }
+    local.bnb_block += 1;
 }
 
 /// Account a skipped block `lslate.opts[row..] × rslate.opts` (every pair
@@ -1215,8 +1333,7 @@ fn combine_contraction(
         .collect();
 
     // One item per feasible (pattern, triple), pattern-major — the serial
-    // nesting order, so every claimed run is a contiguous slice of the
-    // serial candidate stream (the precondition of [`SolutionSet::absorb`]).
+    // nesting order, which every key's blocks keep under the scheduler.
     // Two static rules decide feasibility before any pricing: the rotation
     // step loop cannot be fused around the contraction, and (paper-faithful
     // restriction, the `MsgFactor` formula's domain, lifted by
@@ -1253,175 +1370,179 @@ fn combine_contraction(
     );
     // Child options depend only on (edge fusion, required layout), not on
     // which pattern/triple asked — cached in the per-worker state, which
-    // persists across every run the worker claims (pure memoization, so
+    // persists across every block the worker runs (pure memoization, so
     // cache hits cannot perturb results).
     let mk_state = || -> Caches { (HashMap::new(), HashMap::new(), KernelScratch::default()) };
-    sched.run(&items, out, mk_state, |chunk, local, state| {
+    // Every candidate of a block is inserted under one frontier key, the
+    // (result layout, f_up) pair — the unit the scheduler partitions.
+    let key_of = |&(p, t): &(usize, usize)| {
+        (patterns[p].operand_dist(Operand::Result), &my_prefixes[triples[t].2])
+    };
+    let filter = out.pruning_enabled();
+    sched.run(&items, key_of, out, mk_state, |&(p, t), local, state| {
         let (lcache, rcache, scratch) = state;
-        for &(p, t) in chunk {
-            let pat = &patterns[p];
-            let ldist = pat.operand_dist(Operand::Left);
-            let rdist = pat.operand_dist(Operand::Right);
-            let odist = pat.operand_dist(Operand::Result);
-            let (li, ri, ui) = triples[t];
-            let (fl, fr, fu) = (&lf_all[li], &rf_all[ri], &my_prefixes[ui]);
-            let (surrounding, surround_set) = &surroundings[t];
-            // Per-processor trip count of a surrounding loop: reduced when
-            // the pattern distributes that index.
-            let trip = |j: IndexId| -> u64 {
-                let dim = odist
-                    .position_of(j)
-                    .or_else(|| ldist.position_of(j))
-                    .or_else(|| rdist.position_of(j));
-                match dim {
-                    Some(d) => tce_dist::block_len(space.extent(j), cm.grid.extent(d)),
-                    None => space.extent(j),
-                }
-            };
+        let pat = &patterns[p];
+        let ldist = pat.operand_dist(Operand::Left);
+        let rdist = pat.operand_dist(Operand::Right);
+        let odist = pat.operand_dist(Operand::Result);
+        let (li, ri, ui) = triples[t];
+        let (fl, fr, fu) = (&lf_all[li], &rf_all[ri], &my_prefixes[ui]);
+        let (surrounding, surround_set) = &surroundings[t];
+        // Per-processor trip count of a surrounding loop: reduced when
+        // the pattern distributes that index.
+        let trip = |j: IndexId| -> u64 {
+            let dim = odist
+                .position_of(j)
+                .or_else(|| ldist.position_of(j))
+                .or_else(|| rdist.position_of(j));
+            match dim {
+                Some(d) => tce_dist::block_len(space.extent(j), cm.grid.extent(d)),
+                None => space.extent(j),
+            }
+        };
 
-            // Rotation costs and message sizes at this contraction.
-            let mut rotate = [0.0f64; 3]; // left, right, result
-            let mut msg = [0u128; 3];
-            for (slot, op, id, tensor, dist) in [
-                (0usize, Operand::Left, left, left_tensor, ldist),
-                (1, Operand::Right, right, right_tensor, rdist),
-                (2, Operand::Result, node, result_tensor, odist),
-            ] {
-                if let Some(travel) = pat.travel_dim(op) {
-                    rotate[slot] = memo.rotate_cost_surrounded(
-                        cm,
-                        id.0,
-                        tensor,
-                        space,
-                        dist,
-                        travel,
-                        surround_set,
-                        trip,
-                    );
-                    msg[slot] =
-                        tce_cost::rotate::message_words(tensor, space, cm.grid, dist, surround_set);
+        // Rotation costs and message sizes at this contraction.
+        let mut rotate = [0.0f64; 3]; // left, right, result
+        let mut msg = [0u128; 3];
+        for (slot, op, id, tensor, dist) in [
+            (0usize, Operand::Left, left, left_tensor, ldist),
+            (1, Operand::Right, right, right_tensor, rdist),
+            (2, Operand::Result, node, result_tensor, odist),
+        ] {
+            if let Some(travel) = pat.travel_dim(op) {
+                rotate[slot] = memo.rotate_cost_surrounded(
+                    cm,
+                    id.0,
+                    tensor,
+                    space,
+                    dist,
+                    travel,
+                    surround_set,
+                    trip,
+                );
+                msg[slot] =
+                    tce_cost::rotate::message_words(tensor, space, cm.grid, dist, surround_set);
+            }
+        }
+
+        let my_mem = dist_size(result_tensor, space, cm.grid, odist, &fu.as_set());
+
+        let lslate = lcache.entry((li, ldist)).or_insert_with(|| {
+            OptSlate::new(child_options(tree, cm, cfg, memo, left, fl, ldist, sets), filter)
+        });
+        let rslate = rcache.entry((ri, rdist)).or_insert_with(|| {
+            OptSlate::new(child_options(tree, cm, cfg, memo, right, fr, rdist, sets), filter)
+        });
+        if rslate.opts.is_empty() {
+            return;
+        }
+        // This block's exact node-local communication floor (children
+        // contribute through the slate floors) and message size.
+        let rot_total = rotate[0] + rotate[1] + rotate[2];
+        let block_msg = msg[0].max(msg[1]).max(msg[2]);
+        account_dropped(local, lslate, rslate, my_mem, block_msg, limit);
+        let (rc0, rm0, rg0) = if rslate.floors.is_empty() { (0.0, 0, 0) } else { rslate.floors[0] };
+        let bnb = local.bounds_active();
+        let mut kh = local.key_handle(odist, fu);
+        'rows: for (row, lopt) in lslate.opts.iter().enumerate() {
+            if bnb {
+                // Tail corner over this row AND every later one: if a
+                // live entry dominates it, every remaining candidate of
+                // the block is dominated — account them and move on.
+                let (lc, lm, lg) = lslate.floors[row];
+                let tail = tce_cost::bound::certify(lc + rc0 + rot_total);
+                let tail_mem = lm + rm0 + my_mem;
+                let tail_msg = block_msg.max(lg).max(rg0);
+                // Warm-start: a static cut against the incumbent,
+                // checked before the frontier-dependent corner query
+                // so it fires identically no matter how the block
+                // stream is partitioned across workers.
+                if tail > warm_cut {
+                    let pairs = (lslate.opts.len() - row) as u64 * rslate.opts.len() as u64;
+                    account_block(local, lslate, row, rslate, my_mem, block_msg, limit);
+                    local.bnb_block += 1;
+                    local.bnb_warm += pairs;
+                    break 'rows;
+                }
+                if local.dominates_corner_keyed(&kh, tail, tail_mem, tail_msg) {
+                    account_block(local, lslate, row, rslate, my_mem, block_msg, limit);
+                    local.bnb_block += 1;
+                    break 'rows;
+                }
+                // Row corner (this left option against the best of all
+                // right options) — tighter, skips just this row.
+                let lt = lopt.comm_cost + lopt.redist_cost;
+                let rowb = tce_cost::bound::certify(lt + rc0 + rot_total);
+                let row_mem = lopt.mem_words + rm0 + my_mem;
+                let row_msg = block_msg.max(lopt.max_msg_words).max(rg0);
+                if rowb > warm_cut {
+                    account_row(local, lopt, rslate, my_mem, block_msg, limit);
+                    local.bnb_block += 1;
+                    local.bnb_warm += rslate.opts.len() as u64;
+                    continue 'rows;
+                }
+                if local.dominates_corner_keyed(&kh, rowb, row_mem, row_msg) {
+                    account_row(local, lopt, rslate, my_mem, block_msg, limit);
+                    local.bnb_block += 1;
+                    continue 'rows;
                 }
             }
-
-            let my_mem = dist_size(result_tensor, space, cm.grid, odist, &fu.as_set());
-
-            let lslate = lcache.entry((li, ldist)).or_insert_with(|| {
-                OptSlate::new(child_options(tree, cm, cfg, memo, left, fl, ldist, sets))
-            });
-            let rslate = rcache.entry((ri, rdist)).or_insert_with(|| {
-                OptSlate::new(child_options(tree, cm, cfg, memo, right, fr, rdist, sets))
-            });
-            if rslate.opts.is_empty() {
-                continue;
-            }
-            // This block's exact node-local communication floor (children
-            // contribute through the slate floors) and message size.
-            let rot_total = rotate[0] + rotate[1] + rotate[2];
-            let block_msg = msg[0].max(msg[1]).max(msg[2]);
-            let (rc0, rm0, rg0) =
-                if rslate.floors.is_empty() { (0.0, 0, 0) } else { rslate.floors[0] };
-            let bnb = local.bounds_active();
-            let mut kh = local.key_handle(odist, fu);
-            'rows: for (row, lopt) in lslate.opts.iter().enumerate() {
-                if bnb {
-                    // Tail corner over this row AND every later one: if a
-                    // live entry dominates it, every remaining candidate of
-                    // the block is dominated — account them and move on.
-                    let (lc, lm, lg) = lslate.floors[row];
-                    let tail = tce_cost::bound::certify(lc + rc0 + rot_total);
-                    let tail_mem = lm + rm0 + my_mem;
-                    let tail_msg = block_msg.max(lg).max(rg0);
-                    // Warm-start: a static cut against the incumbent,
-                    // checked before the frontier-dependent corner query
-                    // so it fires identically no matter how the block
-                    // stream is partitioned across workers.
-                    if tail > warm_cut {
-                        let pairs = (lslate.opts.len() - row) as u64 * rslate.opts.len() as u64;
-                        account_block(local, lslate, row, rslate, my_mem, block_msg, limit);
-                        local.bnb_block += 1;
-                        local.bnb_warm += pairs;
-                        break 'rows;
-                    }
-                    if local.dominates_corner_keyed(&kh, tail, tail_mem, tail_msg) {
-                        account_block(local, lslate, row, rslate, my_mem, block_msg, limit);
-                        local.bnb_block += 1;
-                        break 'rows;
-                    }
-                    // Row corner (this left option against the best of all
-                    // right options) — tighter, skips just this row.
-                    let lt = lopt.comm_cost + lopt.redist_cost;
-                    let rowb = tce_cost::bound::certify(lt + rc0 + rot_total);
-                    let row_mem = lopt.mem_words + rm0 + my_mem;
-                    let row_msg = block_msg.max(lopt.max_msg_words).max(rg0);
-                    if rowb > warm_cut {
-                        account_row(local, lopt, rslate, my_mem, block_msg, limit);
-                        local.bnb_block += 1;
-                        local.bnb_warm += rslate.opts.len() as u64;
-                        continue 'rows;
-                    }
-                    if local.dominates_corner_keyed(&kh, rowb, row_mem, row_msg) {
-                        account_row(local, lopt, rslate, my_mem, block_msg, limit);
-                        local.bnb_block += 1;
-                        continue 'rows;
-                    }
-                }
-                // Batched row kernels (bit-exact per-element op order; the
-                // `u128` adds and message maxima are exactly associative,
-                // so the loop-invariant terms fold into the bases).
-                tce_cost::kernel::combine7(
-                    lopt.comm_cost,
-                    lopt.redist_cost,
-                    &rslate.comm,
-                    &rslate.redist,
-                    &rotate,
-                    &mut scratch.cost,
+            // Batched row kernels (bit-exact per-element op order; the
+            // `u128` adds and message maxima are exactly associative,
+            // so the loop-invariant terms fold into the bases).
+            tce_cost::kernel::combine7(
+                lopt.comm_cost,
+                lopt.redist_cost,
+                &rslate.comm,
+                &rslate.redist,
+                &rotate,
+                &mut scratch.cost,
+            );
+            tce_cost::kernel::add_u128(lopt.mem_words + my_mem, &rslate.mem, &mut scratch.mem);
+            tce_cost::kernel::max_u128(
+                block_msg.max(lopt.max_msg_words),
+                &rslate.msg,
+                &mut scratch.msg,
+            );
+            let l_fallback = lopt.redist_cost > 0.0;
+            for (i, ropt) in rslate.opts.iter().enumerate() {
+                local.try_insert_keyed(
+                    &mut kh,
+                    odist,
+                    fu,
+                    scratch.cost[i],
+                    scratch.mem[i],
+                    scratch.msg[i],
+                    l_fallback || rslate.redist[i] > 0.0,
+                    limit,
+                    || {
+                        Some(Box::new(Choice {
+                            pattern: Some(*pat),
+                            children: vec![
+                                ChildBinding {
+                                    node: left,
+                                    sol_index: lopt.sol_index,
+                                    produced_dist: lopt.produced,
+                                    required_dist: ldist,
+                                    fusion: fl.clone(),
+                                    redist_cost: lopt.redist_cost,
+                                    rotate_cost: rotate[0],
+                                },
+                                ChildBinding {
+                                    node: right,
+                                    sol_index: ropt.sol_index,
+                                    produced_dist: ropt.produced,
+                                    required_dist: rdist,
+                                    fusion: fr.clone(),
+                                    redist_cost: ropt.redist_cost,
+                                    rotate_cost: rotate[1],
+                                },
+                            ],
+                            result_rotate_cost: rotate[2],
+                            surrounding: surrounding.clone(),
+                        }))
+                    },
                 );
-                tce_cost::kernel::add_u128(lopt.mem_words + my_mem, &rslate.mem, &mut scratch.mem);
-                tce_cost::kernel::max_u128(
-                    block_msg.max(lopt.max_msg_words),
-                    &rslate.msg,
-                    &mut scratch.msg,
-                );
-                let l_fallback = lopt.redist_cost > 0.0;
-                for (i, ropt) in rslate.opts.iter().enumerate() {
-                    local.try_insert_keyed(
-                        &mut kh,
-                        odist,
-                        fu,
-                        scratch.cost[i],
-                        scratch.mem[i],
-                        scratch.msg[i],
-                        l_fallback || rslate.redist[i] > 0.0,
-                        limit,
-                        || {
-                            Some(Box::new(Choice {
-                                pattern: Some(*pat),
-                                children: vec![
-                                    ChildBinding {
-                                        node: left,
-                                        sol_index: lopt.sol_index,
-                                        produced_dist: lopt.produced,
-                                        required_dist: ldist,
-                                        fusion: fl.clone(),
-                                        redist_cost: lopt.redist_cost,
-                                        rotate_cost: rotate[0],
-                                    },
-                                    ChildBinding {
-                                        node: right,
-                                        sol_index: ropt.sol_index,
-                                        produced_dist: ropt.produced,
-                                        required_dist: rdist,
-                                        fusion: fr.clone(),
-                                        redist_cost: ropt.redist_cost,
-                                        rotate_cost: rotate[1],
-                                    },
-                                ],
-                                result_rotate_cost: rotate[2],
-                                surrounding: surrounding.clone(),
-                            }))
-                        },
-                    );
-                }
             }
         }
     })
@@ -1482,118 +1603,133 @@ fn combine_elementwise(
         KernelScratch,
     );
     let mk_state = || -> Caches { (HashMap::new(), HashMap::new(), KernelScratch::default()) };
-    sched.run(&items, out, mk_state, |chunk, local, state| {
+    // Every candidate of a block is inserted under one frontier key, the
+    // (result layout, f_up) pair — the unit the scheduler partitions.
+    let key_of = |&(d, t): &(usize, usize)| (dists[d], &my_prefixes[triples[t].2]);
+    let filter = out.pruning_enabled();
+    sched.run(&items, key_of, out, mk_state, |&(d, t), local, state| {
         let (lcache, rcache, scratch) = state;
-        for &(d, t) in chunk {
-            let odist = dists[d];
-            let ldist = restrict(odist, &tree.node(left).tensor);
-            let rdist = restrict(odist, &tree.node(right).tensor);
-            let (li, ri, ui) = triples[t];
-            let (fl, fr, fu) = (&lf_all[li], &rf_all[ri], &my_prefixes[ui]);
-            let surrounding = fl.join(fr).join(fu).clone();
-            let my_mem = dist_size(result_tensor, space, cm.grid, odist, &fu.as_set());
-            let lslate = lcache.entry((li, ldist)).or_insert_with(|| {
-                OptSlate::new(child_options(tree, cm, cfg, memo, left, fl, ldist, sets))
-            });
-            let rslate = rcache.entry((ri, rdist)).or_insert_with(|| {
-                OptSlate::new(child_options(tree, cm, cfg, memo, right, fr, rdist, sets))
-            });
-            if rslate.opts.is_empty() {
-                continue;
+        let odist = dists[d];
+        let ldist = restrict(odist, &tree.node(left).tensor);
+        let rdist = restrict(odist, &tree.node(right).tensor);
+        let (li, ri, ui) = triples[t];
+        let (fl, fr, fu) = (&lf_all[li], &rf_all[ri], &my_prefixes[ui]);
+        let surrounding = fl.join(fr).join(fu).clone();
+        let my_mem = dist_size(result_tensor, space, cm.grid, odist, &fu.as_set());
+        let lslate = lcache.entry((li, ldist)).or_insert_with(|| {
+            OptSlate::new(child_options(tree, cm, cfg, memo, left, fl, ldist, sets), filter)
+        });
+        let rslate = rcache.entry((ri, rdist)).or_insert_with(|| {
+            OptSlate::new(child_options(tree, cm, cfg, memo, right, fr, rdist, sets), filter)
+        });
+        if rslate.opts.is_empty() {
+            return;
+        }
+        account_dropped(local, lslate, rslate, my_mem, 0, limit);
+        let (rc0, rm0, rg0) = if rslate.floors.is_empty() { (0.0, 0, 0) } else { rslate.floors[0] };
+        let bnb = local.bounds_active();
+        let mut kh = local.key_handle(odist, fu);
+        'rows: for (row, lopt) in lslate.opts.iter().enumerate() {
+            if bnb {
+                let (lc, lm, lg) = lslate.floors[row];
+                let tail = tce_cost::bound::certify(lc + rc0);
+                let tail_mem = lm + rm0 + my_mem;
+                let tail_msg = lg.max(rg0);
+                // Warm-start static cut, before the frontier query
+                // (see combine_contraction).
+                if tail > warm_cut {
+                    let pairs = (lslate.opts.len() - row) as u64 * rslate.opts.len() as u64;
+                    account_block(local, lslate, row, rslate, my_mem, 0, limit);
+                    local.bnb_block += 1;
+                    local.bnb_warm += pairs;
+                    break 'rows;
+                }
+                if local.dominates_corner_keyed(&kh, tail, tail_mem, tail_msg) {
+                    account_block(local, lslate, row, rslate, my_mem, 0, limit);
+                    local.bnb_block += 1;
+                    break 'rows;
+                }
+                let lt = lopt.comm_cost + lopt.redist_cost;
+                let rowb = tce_cost::bound::certify(lt + rc0);
+                let row_mem = lopt.mem_words + rm0 + my_mem;
+                let row_msg = lopt.max_msg_words.max(rg0);
+                if rowb > warm_cut {
+                    account_row(local, lopt, rslate, my_mem, 0, limit);
+                    local.bnb_block += 1;
+                    local.bnb_warm += rslate.opts.len() as u64;
+                    continue 'rows;
+                }
+                if local.dominates_corner_keyed(&kh, rowb, row_mem, row_msg) {
+                    account_row(local, lopt, rslate, my_mem, 0, limit);
+                    local.bnb_block += 1;
+                    continue 'rows;
+                }
             }
-            let (rc0, rm0, rg0) =
-                if rslate.floors.is_empty() { (0.0, 0, 0) } else { rslate.floors[0] };
-            let bnb = local.bounds_active();
-            let mut kh = local.key_handle(odist, fu);
-            'rows: for (row, lopt) in lslate.opts.iter().enumerate() {
-                if bnb {
-                    let (lc, lm, lg) = lslate.floors[row];
-                    let tail = tce_cost::bound::certify(lc + rc0);
-                    let tail_mem = lm + rm0 + my_mem;
-                    let tail_msg = lg.max(rg0);
-                    // Warm-start static cut, before the frontier query
-                    // (see combine_contraction).
-                    if tail > warm_cut {
-                        let pairs = (lslate.opts.len() - row) as u64 * rslate.opts.len() as u64;
-                        account_block(local, lslate, row, rslate, my_mem, 0, limit);
-                        local.bnb_block += 1;
-                        local.bnb_warm += pairs;
-                        break 'rows;
-                    }
-                    if local.dominates_corner_keyed(&kh, tail, tail_mem, tail_msg) {
-                        account_block(local, lslate, row, rslate, my_mem, 0, limit);
-                        local.bnb_block += 1;
-                        break 'rows;
-                    }
-                    let lt = lopt.comm_cost + lopt.redist_cost;
-                    let rowb = tce_cost::bound::certify(lt + rc0);
-                    let row_mem = lopt.mem_words + rm0 + my_mem;
-                    let row_msg = lopt.max_msg_words.max(rg0);
-                    if rowb > warm_cut {
-                        account_row(local, lopt, rslate, my_mem, 0, limit);
-                        local.bnb_block += 1;
-                        local.bnb_warm += rslate.opts.len() as u64;
-                        continue 'rows;
-                    }
-                    if local.dominates_corner_keyed(&kh, rowb, row_mem, row_msg) {
-                        account_row(local, lopt, rslate, my_mem, 0, limit);
-                        local.bnb_block += 1;
-                        continue 'rows;
-                    }
-                }
-                // Batched row kernels (bit-exact per-element op order).
-                tce_cost::kernel::combine4(
-                    lopt.comm_cost,
-                    lopt.redist_cost,
-                    &rslate.comm,
-                    &rslate.redist,
-                    &mut scratch.cost,
+            // Batched row kernels (bit-exact per-element op order).
+            tce_cost::kernel::combine4(
+                lopt.comm_cost,
+                lopt.redist_cost,
+                &rslate.comm,
+                &rslate.redist,
+                &mut scratch.cost,
+            );
+            tce_cost::kernel::add_u128(lopt.mem_words + my_mem, &rslate.mem, &mut scratch.mem);
+            tce_cost::kernel::max_u128(lopt.max_msg_words, &rslate.msg, &mut scratch.msg);
+            let l_fallback = lopt.redist_cost > 0.0;
+            for (i, ropt) in rslate.opts.iter().enumerate() {
+                local.try_insert_keyed(
+                    &mut kh,
+                    odist,
+                    fu,
+                    scratch.cost[i],
+                    scratch.mem[i],
+                    scratch.msg[i],
+                    l_fallback || rslate.redist[i] > 0.0,
+                    limit,
+                    || {
+                        Some(Box::new(Choice {
+                            pattern: None,
+                            children: vec![
+                                ChildBinding {
+                                    node: left,
+                                    sol_index: lopt.sol_index,
+                                    produced_dist: lopt.produced,
+                                    required_dist: ldist,
+                                    fusion: fl.clone(),
+                                    redist_cost: lopt.redist_cost,
+                                    rotate_cost: 0.0,
+                                },
+                                ChildBinding {
+                                    node: right,
+                                    sol_index: ropt.sol_index,
+                                    produced_dist: ropt.produced,
+                                    required_dist: rdist,
+                                    fusion: fr.clone(),
+                                    redist_cost: ropt.redist_cost,
+                                    rotate_cost: 0.0,
+                                },
+                            ],
+                            result_rotate_cost: 0.0,
+                            surrounding: surrounding.clone(),
+                        }))
+                    },
                 );
-                tce_cost::kernel::add_u128(lopt.mem_words + my_mem, &rslate.mem, &mut scratch.mem);
-                tce_cost::kernel::max_u128(lopt.max_msg_words, &rslate.msg, &mut scratch.msg);
-                let l_fallback = lopt.redist_cost > 0.0;
-                for (i, ropt) in rslate.opts.iter().enumerate() {
-                    local.try_insert_keyed(
-                        &mut kh,
-                        odist,
-                        fu,
-                        scratch.cost[i],
-                        scratch.mem[i],
-                        scratch.msg[i],
-                        l_fallback || rslate.redist[i] > 0.0,
-                        limit,
-                        || {
-                            Some(Box::new(Choice {
-                                pattern: None,
-                                children: vec![
-                                    ChildBinding {
-                                        node: left,
-                                        sol_index: lopt.sol_index,
-                                        produced_dist: lopt.produced,
-                                        required_dist: ldist,
-                                        fusion: fl.clone(),
-                                        redist_cost: lopt.redist_cost,
-                                        rotate_cost: 0.0,
-                                    },
-                                    ChildBinding {
-                                        node: right,
-                                        sol_index: ropt.sol_index,
-                                        produced_dist: ropt.produced,
-                                        required_dist: rdist,
-                                        fusion: fr.clone(),
-                                        redist_cost: ropt.redist_cost,
-                                        rotate_cost: 0.0,
-                                    },
-                                ],
-                                result_rotate_cost: 0.0,
-                                surrounding: surrounding.clone(),
-                            }))
-                        },
-                    );
-                }
             }
         }
     })
+}
+
+/// The result layout of a reduction whose child arrives in `cdist`, and
+/// the grid dimension the reduction runs across. The summed dimension
+/// disappears; if it was distributed along grid dimension d, a reduction
+/// across d combines the partial sums and the result is no longer
+/// distributed along d.
+fn reduce_target(cdist: Distribution, sum: IndexId) -> (Distribution, Option<GridDim>) {
+    match cdist.position_of(sum) {
+        Some(GridDim::Dim1) => (Distribution { d1: None, d2: cdist.d2 }, Some(GridDim::Dim1)),
+        Some(GridDim::Dim2) => (Distribution { d1: cdist.d1, d2: None }, Some(GridDim::Dim2)),
+        None => (cdist, None),
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1642,119 +1778,107 @@ fn combine_reduce(
 
     type Caches = (HashMap<(usize, Distribution), OptSlate>, KernelScratch);
     let mk_state = || -> Caches { (HashMap::new(), KernelScratch::default()) };
-    sched.run(&items, out, mk_state, |chunk, local, state| {
+    // Every candidate of a block is inserted under one frontier key, the
+    // (result layout, f_up) pair — the unit the scheduler partitions.
+    let key_of =
+        |&(d, p): &(usize, usize)| (reduce_target(cdists[d], sum).0, &my_prefixes[pairs[p].1]);
+    let filter = out.pruning_enabled();
+    sched.run(&items, key_of, out, mk_state, |&(d, p), local, state| {
         let (ccache, scratch) = state;
-        for &(d, p) in chunk {
-            let cdist = cdists[d];
-            // The summed dimension disappears; if it was distributed along
-            // d, a reduction across grid dimension d combines the partial
-            // sums and the result is no longer distributed along d.
-            let (odist, reduce_dim) = match cdist.position_of(sum) {
-                Some(GridDim::Dim1) => {
-                    (Distribution { d1: None, d2: cdist.d2 }, Some(GridDim::Dim1))
-                }
-                Some(GridDim::Dim2) => {
-                    (Distribution { d1: cdist.d1, d2: None }, Some(GridDim::Dim2))
-                }
-                None => (cdist, None),
-            };
-            let (ci, ui) = pairs[p];
-            let (fc, fu) = (&cf_all[ci], &my_prefixes[ui]);
-            let surrounding = fc.join(fu).clone();
-            let my_mem = dist_size(result_tensor, space, cm.grid, odist, &fu.as_set());
-            // Reduction cost: a ring combine of the (sliced) result block
-            // across the reduce dimension, repeated per fused surrounding
-            // iteration — exactly the memoized rotate kernel's formula with
-            // the result array travelling the freed grid dimension.
-            let reduce_cost = match reduce_dim {
-                None => 0.0,
-                Some(rd) => memo.rotate_cost_surrounded(
-                    cm,
-                    node.0,
-                    result_tensor,
-                    space,
-                    odist,
-                    rd,
-                    &surrounding.as_set(),
-                    |j: IndexId| -> u64 {
-                        odist
-                            .position_of(j)
-                            .map(|dd| tce_dist::block_len(space.extent(j), cm.grid.extent(dd)))
-                            .unwrap_or_else(|| space.extent(j))
-                    },
-                ),
-            };
-            let cslate = ccache.entry((ci, cdist)).or_insert_with(|| {
-                OptSlate::new(child_options(tree, cm, cfg, memo, child, fc, cdist, sets))
-            });
-            if cslate.opts.is_empty() {
-                continue;
-            }
-            let mut kh = local.key_handle(odist, fu);
-            if local.bounds_active() {
-                let (cc0, cm0, cg0) = cslate.floors[0];
-                let lb = tce_cost::bound::certify(cc0 + reduce_cost);
-                // Warm-start static cut, checked before the frontier
-                // query (see combine_contraction).
-                let warm_skip = lb > warm_cut;
-                if warm_skip || local.dominates_corner_keyed(&kh, lb, cm0 + my_mem, cg0) {
-                    let n = cslate.opts.len() as u64;
-                    let max_fp = cslate.sfx_max_mem[0] + my_mem + cslate.sfx_max_msg[0];
-                    if max_fp <= limit {
-                        local.account_skipped_many(n, n - cslate.sfx_noredist[0], 0);
-                    } else {
-                        for c2 in &cslate.opts {
-                            local.account_skipped(
-                                c2.redist_cost > 0.0,
-                                c2.mem_words + my_mem + c2.max_msg_words,
-                                limit,
-                            );
-                        }
+        let cdist = cdists[d];
+        let (odist, reduce_dim) = reduce_target(cdist, sum);
+        let (ci, ui) = pairs[p];
+        let (fc, fu) = (&cf_all[ci], &my_prefixes[ui]);
+        let surrounding = fc.join(fu).clone();
+        let my_mem = dist_size(result_tensor, space, cm.grid, odist, &fu.as_set());
+        // Reduction cost: a ring combine of the (sliced) result block
+        // across the reduce dimension, repeated per fused surrounding
+        // iteration — exactly the memoized rotate kernel's formula with
+        // the result array travelling the freed grid dimension.
+        let reduce_cost = match reduce_dim {
+            None => 0.0,
+            Some(rd) => memo.rotate_cost_surrounded(
+                cm,
+                node.0,
+                result_tensor,
+                space,
+                odist,
+                rd,
+                &surrounding.as_set(),
+                |j: IndexId| -> u64 {
+                    odist
+                        .position_of(j)
+                        .map(|dd| tce_dist::block_len(space.extent(j), cm.grid.extent(dd)))
+                        .unwrap_or_else(|| space.extent(j))
+                },
+            ),
+        };
+        let cslate = ccache.entry((ci, cdist)).or_insert_with(|| {
+            OptSlate::new(child_options(tree, cm, cfg, memo, child, fc, cdist, sets), filter)
+        });
+        if cslate.opts.is_empty() {
+            return;
+        }
+        account_dropped_child(local, cslate, my_mem, limit);
+        let mut kh = local.key_handle(odist, fu);
+        if local.bounds_active() {
+            let (cc0, cm0, cg0) = cslate.floors[0];
+            let lb = tce_cost::bound::certify(cc0 + reduce_cost);
+            // Warm-start static cut, checked before the frontier
+            // query (see combine_contraction).
+            let warm_skip = lb > warm_cut;
+            if warm_skip || local.dominates_corner_keyed(&kh, lb, cm0 + my_mem, cg0) {
+                let n = cslate.opts.len() as u64;
+                let max_fp = cslate.sfx_max_mem[0] + my_mem + cslate.sfx_max_msg[0];
+                if max_fp <= limit {
+                    local.account_skipped_many(n, n - cslate.sfx_noredist[0], 0);
+                } else {
+                    for c2 in &cslate.opts {
+                        local.account_skipped(
+                            c2.redist_cost > 0.0,
+                            c2.mem_words + my_mem + c2.max_msg_words,
+                            limit,
+                        );
                     }
-                    local.bnb_block += 1;
-                    if warm_skip {
-                        local.bnb_warm += n;
-                    }
-                    continue;
                 }
+                local.bnb_block += 1;
+                if warm_skip {
+                    local.bnb_warm += n;
+                }
+                return;
             }
-            // Batched kernels over the whole child slate (bit-exact
-            // per-element op order).
-            tce_cost::kernel::combine3(
-                &cslate.comm,
-                &cslate.redist,
-                reduce_cost,
-                &mut scratch.cost,
+        }
+        // Batched kernels over the whole child slate (bit-exact
+        // per-element op order).
+        tce_cost::kernel::combine3(&cslate.comm, &cslate.redist, reduce_cost, &mut scratch.cost);
+        tce_cost::kernel::add_u128(my_mem, &cslate.mem, &mut scratch.mem);
+        for (i, copt) in cslate.opts.iter().enumerate() {
+            local.try_insert_keyed(
+                &mut kh,
+                odist,
+                fu,
+                scratch.cost[i],
+                scratch.mem[i],
+                cslate.msg[i],
+                cslate.redist[i] > 0.0,
+                limit,
+                || {
+                    Some(Box::new(Choice {
+                        pattern: None,
+                        children: vec![ChildBinding {
+                            node: child,
+                            sol_index: copt.sol_index,
+                            produced_dist: copt.produced,
+                            required_dist: cdist,
+                            fusion: fc.clone(),
+                            redist_cost: copt.redist_cost,
+                            rotate_cost: 0.0,
+                        }],
+                        result_rotate_cost: reduce_cost,
+                        surrounding: surrounding.clone(),
+                    }))
+                },
             );
-            tce_cost::kernel::add_u128(my_mem, &cslate.mem, &mut scratch.mem);
-            for (i, copt) in cslate.opts.iter().enumerate() {
-                local.try_insert_keyed(
-                    &mut kh,
-                    odist,
-                    fu,
-                    scratch.cost[i],
-                    scratch.mem[i],
-                    cslate.msg[i],
-                    cslate.redist[i] > 0.0,
-                    limit,
-                    || {
-                        Some(Box::new(Choice {
-                            pattern: None,
-                            children: vec![ChildBinding {
-                                node: child,
-                                sol_index: copt.sol_index,
-                                produced_dist: copt.produced,
-                                required_dist: cdist,
-                                fusion: fc.clone(),
-                                redist_cost: copt.redist_cost,
-                                rotate_cost: 0.0,
-                            }],
-                            result_rotate_cost: reduce_cost,
-                            surrounding: surrounding.clone(),
-                        }))
-                    },
-                );
-            }
         }
     })
 }

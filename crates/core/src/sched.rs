@@ -1,57 +1,52 @@
-//! Work-stealing scheduling of the per-node combine blocks.
+//! Key-partitioned scheduling of the per-node combine blocks.
 //!
 //! The combine loops hand the scheduler a flat list of *blocks* — each one
-//! a `(pattern, fusion-triple)` or `(distribution, pair)` item standing
-//! for one contiguous run of the node's serial candidate stream. Blocks
-//! are wildly uneven: late blocks hit wider child slates, more
-//! redistribution fallbacks, and colder memo entries, so the old
-//! equal-count contiguous chunks routinely left every worker idle behind
-//! one stuck on the heavy tail. Here each worker owns a contiguous
-//! *region* of the block list fronted by an atomic cursor; workers claim
-//! guided-size runs from their own region first and steal runs from other
-//! regions once theirs is drained.
+//! a `(pattern, fusion-triple)` or `(distribution, pair)` item in the
+//! node's serial nesting order — together with the *frontier key* every
+//! block writes to: the `(result distribution, up-fusion prefix)` pair
+//! that all of the block's candidates share. Workers claim whole keys
+//! (largest first, from one atomic cursor) and run every block of a
+//! claimed key in serial order into their own [`SolutionSet`].
 //!
-//! **Determinism.** The bit-identity contract survives because every
-//! claimed run is a *contiguous* slice of the serial block order, each run
-//! is claimed exactly once (the cursors only move forward), and a worker
-//! extends its current thread-local [`SolutionSet`] only when the next run
-//! begins exactly where the previous one ended — so every local set covers
-//! one contiguous span of the serial stream, tagged with its start index.
-//! Merging the locals back in ascending start order is then precisely the
-//! chunk-ordered replay [`SolutionSet::absorb`] proves bit-identical to
-//! the serial search, for *any* partition the race happened to produce:
-//! costs, storage order, `best_index` tie-breaks, and every deterministic
-//! counter. Only `dp.steal` (who drained whose region) and the
-//! `dp.memo_*`/`dp.bnb_*` families depend on the interleaving — see
-//! [`tce_obs::NONDETERMINISTIC_COUNTERS`] and DESIGN.md §11.
+//! **Determinism.** Dominance only ever compares candidates of one key, so
+//! a key's accept/reject history depends only on that key's candidates in
+//! serial order — exactly what its worker sees. Each worker's per-key
+//! frontier, corner skips and counters therefore equal the serial run's,
+//! whatever the number of workers or the order in which keys were claimed.
+//! The merge, [`SolutionSet::gather`], moves the worker arenas into one
+//! arena in serial block order (each block's accepted entries are one
+//! contiguous run of its worker's arena), which rebuilds the serial storage
+//! order, live lists and staircases: costs, `sol_index` back-pointers,
+//! `best_index` tie-breaks and every counter, the `dp.bnb_*` family
+//! included. Only the memo counters (`dp.memo_*`) still depend on the
+//! interleaving — see [`tce_obs::NONDETERMINISTIC_COUNTERS`] and DESIGN.md
+//! §11.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::collections::HashMap;
+use std::hash::Hash;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use crate::solution::SolutionSet;
 
 /// Default per-extra-worker amortization floor: spawn another worker only
-/// per this much *predicted* serial enumeration time (ns). Spawn plus the
-/// ordered merge replay cost a low single-digit fraction of this, so nodes
-/// below the floor run inline and the multi-thread wall clock can never
-/// fall measurably behind serial — the regression `BENCH_5.json` recorded.
-pub(crate) const DEFAULT_SPAWN_AMORT_NS: u64 = 10_000_000;
-
-/// Guided run sizing: claim a quarter of the remaining region per grab,
-/// clamped to keep late grabs fine-grained and early grabs amortized.
-const MAX_RUN: usize = 32;
+/// per this much *predicted* serial enumeration time (ns). Nodes below the
+/// floor run inline, so the multi-thread wall clock cannot fall measurably
+/// behind serial — the regression `BENCH_5.json` recorded. 1 ms was chosen
+/// by an interleaved A/B against the earlier 10 ms (EXPERIMENTS.md X13):
+/// with the gather merge it puts the mid-sized enlarged-space nodes on
+/// more workers, and the heaviest interactive requests were not slower.
+pub(crate) const DEFAULT_SPAWN_AMORT_NS: u64 = 1_000_000;
 
 /// How a node's candidate enumeration ran (surfaced as span args and
 /// scheduler counters).
 pub(crate) struct EnumStats {
     /// Worker threads actually used (1 = ran inline).
     pub workers: usize,
-    /// Time spent merging worker-local frontiers, microseconds.
+    /// Time spent gathering worker-local frontiers, microseconds.
     pub merge_us: u128,
     /// Combine blocks scheduled (= the serial item count; deterministic).
     pub blocks: u64,
-    /// Runs claimed from another worker's region (interleaving-dependent).
-    pub steals: u64,
     /// Per-worker busy time, microseconds (empty for inline runs).
     pub busy_us: Vec<u64>,
 }
@@ -98,7 +93,7 @@ impl SpawnModel {
 
 /// Per-node enumeration driver owned by one `optimize` run: the
 /// worker-count policy (the adaptive [`SpawnModel`]) in front of the
-/// work-stealing enumeration.
+/// key-partitioned enumeration.
 pub(crate) struct Scheduler {
     threads: usize,
     /// Hardware threads actually available; the adaptive path never
@@ -123,156 +118,118 @@ impl Scheduler {
         }
     }
 
-    /// Run `chunk_fn` over every item of `items` (each item one combine
+    /// Run `block_fn` over every item of `items` (each item one combine
     /// block), filtered into `out` exactly as the serial loop would.
-    /// `mk_state` builds one per-worker scratch state (slate caches, kernel
-    /// buffers) that persists across that worker's claimed runs — pure
-    /// memoization, shared by the serial and the parallel path.
-    pub fn run<T: Sync, S: Send>(
+    /// `key_of` names the frontier key an item's candidates are inserted
+    /// under; every candidate of the item must use that one key. `mk_state`
+    /// builds one per-worker scratch state (slate caches, kernel buffers)
+    /// that persists across that worker's blocks — pure memoization, shared
+    /// by the serial and the parallel path.
+    pub fn run<T: Sync, K: Hash + Eq, S: Send>(
         &mut self,
         items: &[T],
+        key_of: impl Fn(&T) -> K,
         out: &mut SolutionSet,
         mk_state: impl Fn() -> S + Sync,
-        chunk_fn: impl Fn(&[T], &mut SolutionSet, &mut S) + Sync,
+        block_fn: impl Fn(&T, &mut SolutionSet, &mut S) + Sync,
     ) -> EnumStats {
         let blocks = items.len() as u64;
         // Forced spawning ignores the hardware cap (see `hw`).
         let budget = if self.amort_ns == 0 { self.threads } else { self.threads.min(self.hw) };
-        let workers = self.model.workers_for(items.len(), budget, self.amort_ns);
-        if workers == 1 {
-            let t0 = Instant::now();
-            chunk_fn(items, out, &mut mk_state());
-            self.model.record(items.len(), t0.elapsed().as_nanos() as f64);
-            return EnumStats { workers: 1, merge_us: 0, blocks, steals: 0, busy_us: Vec::new() };
+        let mut workers = self.model.workers_for(items.len(), budget, self.amort_ns);
+        let mut groups = Vec::new();
+        if workers > 1 {
+            groups = key_groups(items, key_of);
+            workers = workers.min(groups.len());
         }
-        let mut stats = run_stealing(items, workers, out, &mk_state, &chunk_fn);
-        stats.blocks = blocks;
+        if workers <= 1 {
+            let t0 = Instant::now();
+            let mut state = mk_state();
+            for item in items {
+                block_fn(item, out, &mut state);
+            }
+            self.model.record(items.len(), t0.elapsed().as_nanos() as f64);
+            return EnumStats { workers: 1, merge_us: 0, blocks, busy_us: Vec::new() };
+        }
+        let stats = run_keyed(items, groups, workers, out, &mk_state, &block_fn);
         // Summed busy time is the serial-equivalent enumeration cost (the
         // same work, minus racing memo refills), which is what the spawn
         // decision needs to predict.
         let busy_ns: u64 = stats.busy_us.iter().sum::<u64>().saturating_mul(1_000);
         self.model.record(items.len(), busy_ns as f64);
-        stats
+        EnumStats { blocks, ..stats }
     }
 }
 
-/// Claim one guided-size run `[cur, cur+run)` from a region cursor, or
-/// `None` when the region is drained. Cursors only advance, so every index
-/// is claimed exactly once.
-fn claim(cursor: &AtomicUsize, end: usize) -> Option<(usize, usize)> {
-    let mut cur = cursor.load(Ordering::Relaxed);
-    loop {
-        if cur >= end {
-            return None;
-        }
-        let remaining = end - cur;
-        let run = (remaining / 4).clamp(1, MAX_RUN).min(remaining);
-        match cursor.compare_exchange_weak(cur, cur + run, Ordering::AcqRel, Ordering::Relaxed) {
-            Ok(_) => return Some((cur, cur + run)),
-            Err(seen) => cur = seen,
-        }
+/// Item indices grouped by frontier key, each group in serial order, the
+/// groups ordered by descending size (ties by first appearance) so the
+/// biggest keys are claimed first and the small ones fill in the tail.
+fn key_groups<T, K: Hash + Eq>(items: &[T], key_of: impl Fn(&T) -> K) -> Vec<Vec<u32>> {
+    let mut slot: HashMap<K, usize> = HashMap::new();
+    let mut groups: Vec<Vec<u32>> = Vec::new();
+    for (i, item) in items.iter().enumerate() {
+        let g = *slot.entry(key_of(item)).or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[g].push(i as u32);
     }
+    groups.sort_by_key(|g| std::cmp::Reverse(g.len()));
+    groups
 }
 
-/// One worker-local output: a contiguous span `[start, end)` of the serial
-/// block order and the frontier its blocks produced.
-struct TaggedLocal {
-    start: usize,
-    end: usize,
-    set: SolutionSet,
-}
-
-/// The work-stealing path. Worker `w` owns region `w` of a contiguous
-/// equal partition of `items` and drains it front-to-back; once empty it
-/// sweeps the other regions round-robin, claiming (stealing) runs from
-/// their cursors. Successive runs that happen to be adjacent extend the
-/// worker's current local set — in the no-steal case each worker therefore
-/// produces exactly one local covering its region, keeping the pruning
-/// locality and merge cost of a plain contiguous partition.
-fn run_stealing<T: Sync, S: Send>(
+/// The parallel path: `workers` threads claim whole key groups from one
+/// cursor and run each group's blocks in serial order into a worker-local
+/// set, recording the arena run every block appended. The runs are then
+/// gathered in serial block order.
+fn run_keyed<T: Sync, S: Send>(
     items: &[T],
+    groups: Vec<Vec<u32>>,
     workers: usize,
     out: &mut SolutionSet,
     mk_state: &(impl Fn() -> S + Sync),
-    chunk_fn: &(impl Fn(&[T], &mut SolutionSet, &mut S) + Sync),
+    block_fn: &(impl Fn(&T, &mut SolutionSet, &mut S) + Sync),
 ) -> EnumStats {
-    let len = items.len();
-    let region = |r: usize| (r * len / workers, (r + 1) * len / workers);
-    let cursors: Vec<AtomicUsize> = (0..workers).map(|r| AtomicUsize::new(region(r).0)).collect();
-    let steal_count = AtomicU64::new(0);
-
-    let mut locals: Vec<TaggedLocal> = Vec::with_capacity(workers);
+    let cursor = AtomicUsize::new(0);
+    let mut parts: Vec<SolutionSet> = Vec::with_capacity(workers);
+    let mut runs = vec![(0u32, 0u32, 0u32); items.len()];
     let mut busy_us = vec![0u64; workers];
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let cursors = &cursors;
-                let steal_count = &steal_count;
-                let empty = out.empty_like();
+            .map(|_| {
+                let (cursor, groups) = (&cursor, &groups);
+                let mut local = out.empty_like();
                 s.spawn(move || {
                     let t0 = Instant::now();
                     let mut state = mk_state();
-                    let mut my_locals: Vec<TaggedLocal> = Vec::new();
-                    // Own region first, then sweep the others. A full
-                    // sweep of drained cursors terminates: cursors never
-                    // retreat.
-                    'work: loop {
-                        let mut claimed = None;
-                        for i in 0..workers {
-                            let r = (w + i) % workers;
-                            if let Some(run) = claim(&cursors[r], region(r).1) {
-                                if r != w {
-                                    steal_count.fetch_add(1, Ordering::Relaxed);
-                                }
-                                claimed = Some(run);
-                                break;
-                            }
+                    // (item, arena start, arena end) per block run here.
+                    let mut spans: Vec<(u32, u32, u32)> = Vec::new();
+                    // `Relaxed` suffices: the cursor only hands out
+                    // indices; `groups` was built before the spawn and the
+                    // results travel back through `join`.
+                    while let Some(group) = groups.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                        for &i in group {
+                            let start = local.len() as u32;
+                            block_fn(&items[i as usize], &mut local, &mut state);
+                            spans.push((i, start, local.len() as u32));
                         }
-                        let Some((start, end)) = claimed else { break 'work };
-                        let local = match my_locals.last_mut() {
-                            Some(last) if last.end == start => {
-                                last.end = end;
-                                last
-                            }
-                            _ => {
-                                my_locals.push(TaggedLocal { start, end, set: empty.empty_like() });
-                                my_locals.last_mut().expect("just pushed")
-                            }
-                        };
-                        chunk_fn(&items[start..end], &mut local.set, &mut state);
                     }
-                    (my_locals, t0.elapsed().as_micros() as u64)
+                    (local, spans, t0.elapsed().as_micros() as u64)
                 })
             })
             .collect();
         for (w, h) in handles.into_iter().enumerate() {
-            let (my_locals, us) = h.join().expect("search worker panicked");
+            let (local, spans, us) = h.join().expect("search worker panicked");
+            for (i, start, end) in spans {
+                runs[i as usize] = (w as u32, start, end);
+            }
+            parts.push(local);
             busy_us[w] = us;
-            locals.extend(my_locals);
         }
     });
-
-    // Merge in serial-stream order. The locals tile [0, len): each index
-    // was claimed exactly once and adjacent claims were coalesced, so
-    // sorting by start index reconstructs the serial block order.
     let merge_start = Instant::now();
-    locals.sort_by_key(|l| l.start);
-    debug_assert!(
-        locals.first().map_or(len == 0, |l| l.start == 0)
-            && locals.last().is_none_or(|l| l.end == len)
-            && locals.windows(2).all(|p| p[0].end == p[1].start),
-        "worker locals must tile the serial block order"
-    );
-    for local in locals {
-        out.absorb(local.set);
-    }
-    EnumStats {
-        workers,
-        merge_us: merge_start.elapsed().as_micros(),
-        blocks: 0,
-        steals: steal_count.into_inner(),
-        busy_us,
-    }
+    out.gather(parts, &runs);
+    EnumStats { workers, merge_us: merge_start.elapsed().as_micros(), blocks: 0, busy_us }
 }
 
 #[cfg(test)]
@@ -290,11 +247,11 @@ mod tests {
     #[test]
     fn calibrated_model_scales_with_predicted_cost() {
         let mut m = SpawnModel { ns_per_block: 0.0, calibrated: false };
-        // 1e6 ns per block measured.
-        m.record(100, 1e8);
-        // 10 blocks → 1e7 ns predicted → exactly the amortization floor.
+        // 1e5 ns per block measured.
+        m.record(100, 1e7);
+        // 10 blocks → 1e6 ns predicted → exactly the amortization floor.
         assert_eq!(m.workers_for(10, 8, DEFAULT_SPAWN_AMORT_NS), 1);
-        // 50 blocks → 5e7 ns predicted → 5 workers.
+        // 50 blocks → 5e6 ns predicted → 5 workers.
         assert_eq!(m.workers_for(50, 8, DEFAULT_SPAWN_AMORT_NS), 5);
         // Capped by the thread budget.
         assert_eq!(m.workers_for(1000, 8, DEFAULT_SPAWN_AMORT_NS), 8);
@@ -318,16 +275,9 @@ mod tests {
     }
 
     #[test]
-    fn claim_covers_a_region_exactly_once() {
-        let cursor = AtomicUsize::new(0);
-        let mut seen = Vec::new();
-        while let Some((s, e)) = claim(&cursor, 117) {
-            assert!(s < e && e <= 117);
-            seen.push((s, e));
-        }
-        assert_eq!(seen.first().map(|r| r.0), Some(0));
-        assert_eq!(seen.last().map(|r| r.1), Some(117));
-        assert!(seen.windows(2).all(|p| p[0].1 == p[1].0), "runs must tile");
-        assert!(seen.iter().all(|&(s, e)| e - s <= MAX_RUN));
+    fn key_groups_keep_serial_order_and_put_big_keys_first() {
+        let items = [3u8, 1, 3, 2, 1, 3, 2, 2, 2];
+        let groups = key_groups(&items, |&k| k);
+        assert_eq!(groups, vec![vec![3, 6, 7, 8], vec![0, 2, 5], vec![1, 4]]);
     }
 }

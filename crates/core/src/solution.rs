@@ -81,7 +81,7 @@ pub struct Choice {
 
 /// One entry of a node's solution set, as a by-value record (the storage
 /// itself is struct-of-arrays; this is the shape used to offer candidates
-/// and to replay worker-local sets during [`SolutionSet::absorb`]).
+/// through [`SolutionSet::insert`]).
 #[derive(Clone, Debug)]
 pub struct Solution {
     /// Distribution in which this node's array is produced.
@@ -286,19 +286,18 @@ pub struct SolutionSet {
     /// Candidates that could reach a child's required layout only by
     /// inserting a redistribution (an unfused child produced elsewhere).
     pub redist_fallbacks: u64,
-    /// Candidates disposed of by a branch-and-bound corner skip without a
-    /// per-candidate dominance query (their `candidates_seen` /
-    /// `pruned_*` classification is still counted exactly). Depends on
-    /// worker-thread interleaving, like the memo counters.
+    /// Candidates disposed of without being priced: by a branch-and-bound
+    /// corner skip, or because an earlier option of one of their child
+    /// slates already dominates theirs (the slate filter in `dp.rs`).
+    /// Their `candidates_seen` / `pruned_*` classification is still
+    /// counted exactly.
     pub bnb_skip: u64,
-    /// Corner-skip events (each covering one or more candidates). Also
-    /// interleaving-dependent.
+    /// Skip events, each covering one or more candidates: corner skips,
+    /// plus one per block whose slates dropped any option.
     pub bnb_block: u64,
     /// Candidates skipped because their certified floor plus the
     /// rest-of-tree floor exceeds a warm incumbent upper bound
-    /// (heuristic warm-start). A subset of `bnb_skip`'s population;
-    /// interleaving-dependent because a dominance tail-break can preempt
-    /// later rows' warm checks.
+    /// (heuristic warm-start). A subset of `bnb_skip`'s population.
     pub bnb_warm: u64,
     /// When `false`, dominated candidates are kept (the §3.3 pruning
     /// ablation); memory-limit pruning stays active.
@@ -350,7 +349,7 @@ impl SolutionSet {
     }
 
     /// An empty set in the same mode — what worker threads start from so
-    /// [`Self::absorb`] merges like with like.
+    /// [`Self::gather`] merges like with like.
     pub fn empty_like(&self) -> Self {
         Self::with_mode(self.pruning_enabled, self.legacy_frontier)
     }
@@ -500,20 +499,6 @@ impl SolutionSet {
             return false;
         }
         self.insert_checked_keyed(handle, dist, fusion, comm_cost, mem_words, max_msg_words, choice)
-    }
-
-    /// The dominance half of the insert path, against an unresolved key.
-    fn insert_checked(
-        &mut self,
-        dist: Distribution,
-        fusion: &FusionPrefix,
-        cost: f64,
-        mem: u128,
-        msg: u128,
-        choice: impl FnOnce() -> Option<Box<Choice>>,
-    ) -> bool {
-        let mut handle = self.key_handle(dist, fusion);
-        self.insert_checked_keyed(&mut handle, dist, fusion, cost, mem, msg, choice)
     }
 
     /// The dominance half of [`Self::try_insert`]: the candidate has
@@ -679,43 +664,89 @@ impl SolutionSet {
         self.bnb_skip += n;
     }
 
-    /// Fold a worker-local set into this one, replaying the worker's
-    /// accepted candidates *in their original insertion order* through the
-    /// dominance filter.
+    /// Move key-disjoint worker-local sets into this (empty) set in serial
+    /// block order — the merge of the key-partitioned enumeration
+    /// (`crate::sched`).
     ///
-    /// Because dominance (`≤` on cost, memory, and buffer) is transitive,
-    /// merging per-worker sets in the order their chunks partition the
-    /// serial candidate stream reproduces the serial search *exactly*: each
-    /// candidate's accept/reject outcome, the storage order of the arena
-    /// (and thus every `sol_index` back-pointer and tie-break), and the
-    /// `candidates_seen`/`pruned_*` totals are all bit-identical to a
-    /// single-threaded run. A worker-local rejection (the dominator sat in
-    /// the same chunk) and a merge-time rejection (the dominator sat in an
-    /// earlier chunk) are the same rejection the serial run counted once.
-    /// The same argument covers worker-local **corner skips**: the local
-    /// dominator the corner proof found was offered earlier in the same
-    /// chunk, so the serial run either kept it or kept something dominating
-    /// it — either way the serial run rejects the skipped candidates as
-    /// dominated too. Only the `bnb_skip`/`bnb_block` totals (how the work
-    /// was avoided, not its outcome) depend on the thread count.
+    /// `runs[b] = (part, start, end)` says that combine block `b` appended
+    /// the arena entries `start..end` of `parts[part]`. Every block writes
+    /// to one `(dist, fusion)` key and every key lives in exactly one part,
+    /// which ran that key's blocks in serial order; dominance never crosses
+    /// keys, so each part's per-key history (accepts, evictions, corner
+    /// skips, counters) is the serial run's. Concatenating the runs in
+    /// block order therefore rebuilds the serial arena entry for entry,
+    /// dead ones included; live lists and staircases carry over through the
+    /// index remap, which is monotone within a key (a part's entries keep
+    /// their relative order), so `(cost, idx)` staircase order and the
+    /// ascending live lists survive unchanged. The counters are plain sums.
+    /// O(entries + keys · log keys); nothing is re-inserted.
     ///
-    /// The caller must construct `other` with the same mode (see
-    /// [`Self::empty_like`]); its entries already passed the shared memory
-    /// limit, so no limit is re-checked here.
-    pub fn absorb(&mut self, other: SolutionSet) {
-        debug_assert_eq!(self.pruning_enabled, other.pruning_enabled);
-        debug_assert_eq!(self.legacy_frontier, other.legacy_frontier);
-        self.candidates_seen += other.candidates_seen;
-        self.pruned_inferior += other.pruned_inferior;
-        self.pruned_memory += other.pruned_memory;
-        self.redist_fallbacks += other.redist_fallbacks;
-        self.bnb_skip += other.bnb_skip;
-        self.bnb_block += other.bnb_block;
-        self.bnb_warm += other.bnb_warm;
-        let Arena { costs, mems, msgs, dists, fusions, choices } = other.arena;
-        let it = costs.into_iter().zip(mems).zip(msgs).zip(dists).zip(fusions).zip(choices);
-        for (((((cost, mem), msg), dist), fusion), choice) in it {
-            self.insert_checked(dist, &fusion, cost, mem, msg, move || choice);
+    /// The parts must be in this set's mode (see [`Self::empty_like`]).
+    pub(crate) fn gather(&mut self, mut parts: Vec<SolutionSet>, runs: &[(u32, u32, u32)]) {
+        debug_assert!(self.is_empty(), "gather fills an empty set");
+        debug_assert_eq!(
+            parts.iter().map(|p| p.len()).sum::<usize>(),
+            runs.iter().map(|&(_, s, e)| (e - s) as usize).sum::<usize>(),
+            "the runs must cover every part entry once"
+        );
+        let mut remap: Vec<Vec<u32>> = parts.iter().map(|p| vec![u32::MAX; p.len()]).collect();
+        let live: Vec<Vec<bool>> = parts
+            .iter()
+            .map(|p| {
+                let mut v = vec![false; p.len()];
+                for &i in &p.live_all {
+                    v[i as usize] = true;
+                }
+                v
+            })
+            .collect();
+        let a = &mut self.arena;
+        for &(p, start, end) in runs {
+            let (p, src) = (p as usize, &mut parts[p as usize].arena);
+            for i in start as usize..end as usize {
+                let new = a.len() as u32;
+                remap[p][i] = new;
+                if live[p][i] {
+                    self.live_all.push(new);
+                }
+                let fusion = std::mem::take(&mut src.fusions[i]);
+                let choice = src.choices[i].take();
+                a.push(src.dists[i], fusion, src.costs[i], src.mems[i], src.msgs[i], choice);
+            }
+        }
+        let mut fronts: Vec<(FusionPrefix, Distribution, KeyFront)> = Vec::new();
+        for (p, part) in parts.into_iter().enumerate() {
+            debug_assert_eq!(self.pruning_enabled, part.pruning_enabled);
+            debug_assert_eq!(self.legacy_frontier, part.legacy_frontier);
+            self.candidates_seen += part.candidates_seen;
+            self.pruned_inferior += part.pruned_inferior;
+            self.pruned_memory += part.pruned_memory;
+            self.redist_fallbacks += part.redist_fallbacks;
+            self.bnb_skip += part.bnb_skip;
+            self.bnb_block += part.bnb_block;
+            self.bnb_warm += part.bnb_warm;
+            let mut part_fronts = part.fronts;
+            for (fusion, dists) in part.keys {
+                for (dist, slot) in dists {
+                    let mut kf = std::mem::take(&mut part_fronts[slot as usize]);
+                    for i in kf.live.iter_mut() {
+                        *i = remap[p][*i as usize];
+                    }
+                    for e in kf.stair.iter_mut() {
+                        e.idx = remap[p][e.idx as usize];
+                    }
+                    fronts.push((fusion.clone(), dist, kf));
+                }
+            }
+        }
+        // Slots in a deterministic order (by first live entry): hash-map
+        // iteration order must not leak into the layout.
+        fronts.sort_by_key(|(_, _, kf)| kf.live.first().copied().unwrap_or(u32::MAX));
+        for (fusion, dist, kf) in fronts {
+            let slot = self.fronts.len() as u32;
+            let prev = self.keys.entry(fusion).or_default().insert(dist, slot);
+            debug_assert!(prev.is_none(), "gathered parts must be key-disjoint");
+            self.fronts.push(kf);
         }
     }
 
@@ -727,7 +758,7 @@ impl SolutionSet {
     /// back-pointer anywhere references a dead entry** — parents bind only
     /// indices that were live when they enumerated, and live entries are
     /// never evicted after their node finished. Must not be called on
-    /// worker-local sets (absorb replays the full arena).
+    /// worker-local sets (gather moves their full arenas by index).
     pub fn compact(&mut self) -> usize {
         let dead = self.arena.len() - self.live_all.len();
         if dead == 0 {
@@ -858,7 +889,7 @@ impl SolutionSet {
     }
 
     /// Whether dominance pruning is on (workers mirror this mode into their
-    /// local sets so [`Self::absorb`] merges like with like).
+    /// local sets so [`Self::gather`] merges like with like).
     pub fn pruning_enabled(&self) -> bool {
         self.pruning_enabled
     }
@@ -898,7 +929,7 @@ impl SolutionSet {
     /// Estimated heap bytes held by this set's arena (live + dead entries):
     /// the struct-of-arrays columns plus the boxed decision records and
     /// their owned vectors. A deterministic function of arena *contents* —
-    /// identical at any thread count, since absorb replays worker arenas
+    /// identical at any thread count, since gather moves worker arenas
     /// into the same final storage — so it is safe to report in
     /// equivalence-checked statistics.
     pub fn arena_bytes(&self) -> u64 {
@@ -1081,49 +1112,110 @@ mod tests {
         assert_eq!(set.live_len(), 2);
     }
 
-    /// Splitting one candidate stream across worker-local sets and
-    /// absorbing them in order must reproduce the serial set exactly:
-    /// same storage order, same live indices, same counters.
-    #[test]
-    fn absorb_replays_the_serial_stream() {
-        let (d1, d2) = dists();
-        // A stream exercising accept, cross-chunk rejection, same-chunk
-        // rejection, eviction across chunks, and a memory-limit prune.
-        let stream = [
-            sol(d1, 10.0, 100, 5),
-            sol(d2, 7.0, 70, 3),
-            sol(d1, 11.0, 120, 6), // dominated by #0
-            sol(d1, 8.0, 150, 5),  // Pareto vs #0 (cheaper, fatter)
-            sol(d1, 12.0, 130, 7), // dominated by #0 (cross-chunk at merge)
-            sol(d2, 6.0, 60, 2),   // evicts #1
-            sol(d2, 5.0, 500, 2),  // over the limit
-            sol(d1, 10.0, 100, 5), // dominated (equal) by #0
-        ];
-        let limit = 400u128;
-        let mut serial = SolutionSet::new();
-        for s in &stream {
+    /// Run `blocks` (each one key's candidates) serially, and again split
+    /// by key over worker-local parts (`part_of(dist)`) and gathered in
+    /// block order; return both sets.
+    fn serial_and_gathered(
+        blocks: &[Vec<Solution>],
+        limit: u128,
+        pruning: bool,
+        part_of: impl Fn(Distribution) -> usize,
+    ) -> (SolutionSet, SolutionSet) {
+        let mut serial = SolutionSet::with_pruning(pruning);
+        for s in blocks.iter().flatten() {
             serial.insert(s.clone(), limit);
         }
-        for split in 1..stream.len() {
-            let mut merged = SolutionSet::new();
-            for chunk in [&stream[..split], &stream[split..]] {
-                let mut local = merged.empty_like();
-                for s in chunk {
-                    local.insert(s.clone(), limit);
-                }
-                merged.absorb(local);
+        let mut gathered = SolutionSet::with_pruning(pruning);
+        let mut parts = vec![gathered.empty_like(), gathered.empty_like()];
+        let mut runs = Vec::new();
+        for block in blocks {
+            let p = part_of(block[0].dist);
+            let start = parts[p].len() as u32;
+            for s in block {
+                parts[p].insert(s.clone(), limit);
             }
-            assert_eq!(merged.len(), serial.len(), "split at {split}");
-            for i in 0..merged.len() {
-                assert_eq!(merged.cost(i).to_bits(), serial.cost(i).to_bits());
-                assert_eq!(merged.mem(i), serial.mem(i));
-                assert_eq!(merged.msg(i), serial.msg(i));
-            }
-            assert_eq!(live(&merged), live(&serial), "split at {split}");
-            assert_eq!(merged.candidates_seen, serial.candidates_seen);
-            assert_eq!(merged.pruned_inferior, serial.pruned_inferior, "split at {split}");
-            assert_eq!(merged.pruned_memory, serial.pruned_memory);
+            runs.push((p as u32, start, parts[p].len() as u32));
         }
+        gathered.gather(parts, &runs);
+        (serial, gathered)
+    }
+
+    /// The staircase of one key as comparable tuples.
+    fn stair(set: &SolutionSet, dist: Distribution) -> Vec<(u64, u128, u128, u128, u128, u32)> {
+        let slot = set.key_handle(dist, &FusionPrefix::empty()).slot.expect("key exists");
+        let st = &set.fronts[slot as usize].stair;
+        st.iter().map(|e| (e.cost.to_bits(), e.mem, e.msg, e.env_mem, e.env_msg, e.idx)).collect()
+    }
+
+    fn assert_same_set(a: &SolutionSet, b: &SolutionSet, what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: storage length");
+        for i in 0..a.len() {
+            assert_eq!(a.cost(i).to_bits(), b.cost(i).to_bits(), "{what}: cost {i}");
+            assert_eq!((a.mem(i), a.msg(i)), (b.mem(i), b.msg(i)), "{what}: mem/msg {i}");
+            assert_eq!(a.dist(i), b.dist(i), "{what}: dist {i}");
+        }
+        assert_eq!(live(a), live(b), "{what}: live list");
+        assert_eq!(a.key_count(), b.key_count(), "{what}: keys");
+        let counters = |s: &SolutionSet| {
+            let c = (s.candidates_seen, s.pruned_inferior, s.pruned_memory, s.redist_fallbacks);
+            (c, s.bnb_skip, s.bnb_block, s.bnb_warm)
+        };
+        assert_eq!(counters(a), counters(b), "{what}: counters");
+    }
+
+    /// Splitting the block stream by key over worker-local sets and
+    /// gathering them in block order must reproduce the serial set exactly:
+    /// same storage order, live lists, staircases and counters, whichever
+    /// part got which key.
+    #[test]
+    fn gather_of_key_disjoint_parts_rebuilds_the_serial_set() {
+        let (d1, d2) = dists();
+        // Interleaved keys exercising accept, rejection, eviction across
+        // blocks, cost ties and a memory-limit prune.
+        let blocks = vec![
+            vec![sol(d1, 10.0, 100, 5), sol(d1, 11.0, 120, 6)],
+            vec![sol(d2, 7.0, 70, 3)],
+            vec![sol(d1, 8.0, 150, 5), sol(d1, 12.0, 130, 7)],
+            vec![sol(d2, 6.0, 60, 2), sol(d2, 5.0, 500, 2)],
+            vec![sol(d1, 10.0, 100, 5), sol(d1, 8.0, 90, 4), sol(d1, 8.0, 95, 1)],
+            vec![sol(d2, 6.0, 50, 3), sol(d2, 9.0, 10, 9)],
+        ];
+        let limit = 400u128;
+        for (name, part_of) in [
+            ("d1 first", Box::new(move |d| usize::from(d != d1)) as Box<dyn Fn(_) -> usize>),
+            ("d2 first", Box::new(move |d| usize::from(d == d1))),
+            ("one part", Box::new(|_| 0)),
+        ] {
+            let (serial, mut gathered) = serial_and_gathered(&blocks, limit, true, part_of);
+            assert_same_set(&serial, &gathered, name);
+            for d in [d1, d2] {
+                let f = FusionPrefix::empty();
+                assert_eq!(serial.lookup(d, &f), gathered.lookup(d, &f), "{name}: lookup");
+                assert_eq!(stair(&serial, d), stair(&gathered, d), "{name}: staircase");
+            }
+            // The gathered set keeps pruning like the serial one.
+            assert!(!gathered.insert(sol(d1, 8.5, 96, 5), limit), "{name}");
+            assert_eq!(gathered.compact(), serial.len() - serial.live_len(), "{name}");
+        }
+    }
+
+    /// With dominance off nothing is evicted: the gather is the
+    /// concatenation of the blocks in block order.
+    #[test]
+    fn gather_with_pruning_disabled_concatenates_in_block_order() {
+        let (d1, d2) = dists();
+        let blocks = vec![
+            vec![sol(d2, 7.0, 70, 3)],
+            vec![sol(d1, 10.0, 100, 5), sol(d1, 11.0, 120, 6)],
+            vec![sol(d2, 9.0, 90, 4)],
+        ];
+        let (serial, gathered) =
+            serial_and_gathered(&blocks, u128::MAX, false, |d| usize::from(d == d1));
+        assert_same_set(&serial, &gathered, "no pruning");
+        assert_eq!(gathered.live_len(), 4);
+        assert_eq!(gathered.pruned_inferior, 0);
+        let costs: Vec<f64> = (0..gathered.len()).map(|i| gathered.cost(i)).collect();
+        assert_eq!(costs, vec![7.0, 10.0, 11.0, 9.0]);
     }
 
     /// The staircase must answer exactly what the legacy linear scan
@@ -1224,20 +1316,6 @@ mod tests {
         assert!(!set.insert(sol(d1, 9.5, 95, 5), u128::MAX));
         assert!(set.dominates_corner(d1, &FusionPrefix::empty(), 9.0, 90, 4));
         assert_eq!(set.compact(), 0, "second compaction is a no-op");
-    }
-
-    #[test]
-    fn absorb_with_pruning_disabled_concatenates() {
-        let (d1, _) = dists();
-        let mut out = SolutionSet::with_pruning(false);
-        let mut local = SolutionSet::with_pruning(false);
-        local.insert(sol(d1, 10.0, 100, 5), u128::MAX);
-        local.insert(sol(d1, 11.0, 120, 6), u128::MAX); // dominated but kept
-        out.absorb(local);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out.live_len(), 2);
-        assert_eq!(out.candidates_seen, 2);
-        assert_eq!(out.pruned_inferior, 0);
     }
 
     #[test]

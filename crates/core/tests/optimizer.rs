@@ -647,3 +647,51 @@ fn block_filter_preserves_costs_and_counters() {
     }
     assert!(diverged.is_empty(), "pinned searches diverged:\n{diverged}");
 }
+
+/// Under a binding memory limit, some candidates that the slate filter
+/// drops (an earlier option of the same child slate matches or beats
+/// theirs on every combine input) are also over the limit. The filter
+/// never prices them, so its per-pair fallback must classify those as
+/// memory-pruned and the rest as dominated, exactly as pricing them would.
+/// 16 processors, 1 GB per node, replication on, 1 thread: the optimum's
+/// cost bits and every deterministic counter are pinned to the values of
+/// the search that priced every candidate.
+#[test]
+fn slate_filter_counts_dropped_candidates_exactly_under_a_binding_limit() {
+    // (workload, comm_bits, counters) recorded from the unfiltered search.
+    const PINNED: &[(&str, u64, &str)] = &[
+        (
+            "ladder",
+            0x4021e353f7ced917,
+            "dp.arena_hw_bytes=10010176 dp.blocks=38668 dp.candidates=465448 dp.frontier=12226 dp.nodes=4 dp.pruned_inferior=335973 dp.pruned_memory=98640 dp.redist_fallbacks=405652 lb.floor_fallback=0",
+        ),
+        (
+            "transform",
+            0x40378fca1c55bfc9,
+            "dp.arena_hw_bytes=9855648 dp.blocks=25756 dp.candidates=372684 dp.frontier=11980 dp.nodes=4 dp.pruned_inferior=326973 dp.pruned_memory=14456 dp.redist_fallbacks=310066 lb.floor_fallback=0",
+        ),
+    ];
+    let mut machine = MachineModel::itanium_cluster();
+    machine.mem_per_node_bytes = (1024.0 * tce_cost::units::PAPER_MB) as u64;
+    let cm = CostModel::for_square(machine, 16).unwrap();
+    let mut diverged = String::new();
+    for &(workload, comm_bits, counters) in PINNED {
+        let path = format!("{}/../../workloads/{workload}.tce", env!("CARGO_MANIFEST_DIR"));
+        let src = std::fs::read_to_string(&path).unwrap();
+        let tree = tce_opmin::lower_program(&parse(&src).unwrap()).unwrap().to_tree().unwrap();
+        let cfg = OptimizerConfig { threads: 1, allow_replication: true, ..Default::default() };
+        let opt = optimize(&tree, &cm, &cfg).unwrap();
+        let got: Vec<String> = opt
+            .counters
+            .iter()
+            .filter(|&(name, _)| !tce_obs::NONDETERMINISTIC_COUNTERS.contains(&name))
+            .map(|(name, value)| format!("{name}={value}"))
+            .collect();
+        let line = format!("{workload} {:#x} \"{}\"", opt.comm_cost.to_bits(), got.join(" "));
+        let want = format!("{workload} {comm_bits:#x} \"{counters}\"");
+        if line != want {
+            diverged.push_str(&format!("  got  {line}\n  want {want}\n"));
+        }
+    }
+    assert!(diverged.is_empty(), "pinned searches diverged:\n{diverged}");
+}

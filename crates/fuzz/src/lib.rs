@@ -22,7 +22,7 @@
 //! 6. **Exhaustive cross-check** — on small proper contraction trees, the
 //!    DP optimum must equal `exhaustive_min`, and both must agree on
 //!    feasibility under tight limits.
-//! 7. **Scheduler equivalence** — the work-stealing enumeration (spawning
+//! 7. **Scheduler equivalence** — the key-partitioned enumeration (spawning
 //!    forced via `spawn_amort_ns: Some(0)` so every node actually splits)
 //!    at the highest configured thread count against the serial reference
 //!    run: costs to the bit, plans, and every deterministic counter must
@@ -396,55 +396,55 @@ pub fn check_tree(tree: &ExprTree, cfg: &FuzzConfig) -> Result<TreeStats, Failur
             }
         }
 
-        // Oracle 7: work-stealing vs the serial reference. Forced to
-        // actually spawn (`spawn_amort_ns: Some(0)` defeats the adaptive
-        // threshold, which would otherwise keep these small nodes inline)
-        // at the highest configured thread count, where claim interleaving
-        // and steal traffic are maximal.
+        // Oracle 7: key-partitioned enumeration vs the serial reference.
+        // Forced to actually spawn (`spawn_amort_ns: Some(0)` defeats the
+        // adaptive threshold, which would otherwise keep these small nodes
+        // inline) at the highest configured thread count, where the keys
+        // are spread over the most workers.
         {
             let t = cfg.threads.iter().copied().max().unwrap_or(1).max(2);
-            let steal = optimize(
+            let split = optimize(
                 tree,
                 &cm,
                 &OptimizerConfig { threads: t, spawn_amort_ns: Some(0), ..base_config(cfg) },
             )
-            .map_err(|e| fail("scheduler", format!("p={procs} t={t} stealing: {e:?}")))?;
+            .map_err(|e| fail("scheduler", format!("p={procs} t={t} parallel: {e:?}")))?;
             stats.optimizations += 1;
-            if steal.comm_cost.to_bits() != base.comm_cost.to_bits()
-                || steal.mem_words != base.mem_words
-                || steal.max_msg_words != base.max_msg_words
-                || steal.best_index != base.best_index
+            if split.comm_cost.to_bits() != base.comm_cost.to_bits()
+                || split.mem_words != base.mem_words
+                || split.max_msg_words != base.max_msg_words
+                || split.best_index != base.best_index
             {
                 return Err(fail(
                     "scheduler",
                     format!(
-                        "p={procs} t={t}: stealing cost {} vs serial {}, mem {} vs {}, best {} vs {}",
-                        steal.comm_cost,
+                        "p={procs} t={t}: parallel cost {} vs serial {}, mem {} vs {}, best {} vs {}",
+                        split.comm_cost,
                         base.comm_cost,
-                        steal.mem_words,
+                        split.mem_words,
                         base.mem_words,
-                        steal.best_index,
+                        split.best_index,
                         base.best_index
                     ),
                 ));
             }
-            if extract_plan(tree, &steal).to_json() != base_json {
+            if extract_plan(tree, &split).to_json() != base_json {
                 return Err(fail(
                     "scheduler",
-                    format!("p={procs} t={t}: stealing plan differs from serial"),
+                    format!("p={procs} t={t}: parallel plan differs from serial"),
                 ));
             }
             for (counter, v) in base.counters.iter() {
                 if tce_obs::NONDETERMINISTIC_COUNTERS.contains(&counter) {
                     continue; // interleaving-dependent by design
                 }
-                if v != steal.counters.get(counter) {
+                if v != split.counters.get(counter) {
                     return Err(fail(
                         "scheduler",
                         format!(
-                            "p={procs} t={t}: counter {counter} serial {} vs stealing {}",
+                            "p={procs} t={t}: counter {counter} serial {} vs parallel {}",
                             v,
-                            steal.counters.get(counter)
+                            split.counters.get(counter)
                         ),
                     ));
                 }

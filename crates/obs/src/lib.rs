@@ -73,34 +73,34 @@ pub mod names {
     pub const MEMO_HIT: &str = "dp.memo_hit";
     /// Cost-kernel evaluations computed and stored in the memo table.
     pub const MEMO_MISS: &str = "dp.memo_miss";
-    /// Candidates skipped by an admissible lower-bound (branch-and-bound)
-    /// corner query instead of being individually costed.
+    /// Candidates disposed of without being individually costed: by an
+    /// admissible lower-bound (branch-and-bound) corner query, or because
+    /// an earlier option of one of their child slates matches or beats
+    /// theirs on every combine input (the slate filter).
     ///
-    /// Like the memo counters, the bnb numbers depend on worker-thread
-    /// interleaving (each worker prunes against its own partial frontier,
-    /// so smaller chunks skip less), so they are excluded from
-    /// serial-vs-parallel equivalence checks. Every *pre-existing* `dp.*`
-    /// counter is unchanged by the skips: skipped candidates are still
-    /// classified and counted exactly as `insert` would have.
+    /// The bnb numbers count how work was avoided, not its outcome, so
+    /// they move whenever the skipping strategy changes while every result
+    /// stays bit-identical; that keeps them out of byte-stable output (see
+    /// [`NONDETERMINISTIC_COUNTERS`]). For a fixed build they are identical
+    /// at every thread count: each frontier key is searched by one worker,
+    /// in serial order. Every other `dp.*` counter is unchanged by the
+    /// skips: skipped candidates are still classified and counted exactly
+    /// as `insert` would have.
     pub const BNB_SKIP: &str = "dp.bnb_skip";
-    /// Lower-bound corner queries that pruned a block (a row or tail of a
-    /// combine loop). `bnb_skip / bnb_block` is the mean block size.
+    /// Skip events: lower-bound corner queries that pruned a block (a row
+    /// or tail of a combine loop), plus combine blocks whose slates dropped
+    /// options. `bnb_skip / bnb_block` is the mean event size.
     pub const BNB_BLOCK: &str = "dp.bnb_block";
     /// Combine blocks scheduled across all nodes — the unit of work the
-    /// work-stealing enumeration hands to workers (one block per
+    /// key-partitioned enumeration hands to workers (one block per
     /// `(pattern, fusion-triple)` / `(distribution, pair)` item of the
     /// serial candidate stream). A pure function of the search space, so
     /// identical at every thread count including serial runs.
     pub const BLOCKS: &str = "dp.blocks";
-    /// Combine-block runs a worker claimed from another worker's region of
-    /// the serial stream. Zero in serial runs; in parallel runs the total
-    /// depends on thread interleaving (who finishes first steals), so it is
-    /// excluded from serial-vs-parallel equivalence checks.
-    pub const STEAL: &str = "dp.steal";
     /// Histogram of per-worker busy time per node, microseconds (metrics
     /// registry only — wall-clock, never part of the deterministic counter
-    /// bag). The spread between workers is the load-imbalance the stealing
-    /// scheduler is there to close.
+    /// bag). The spread between workers is the load imbalance left by the
+    /// key partition.
     pub const WORKER_BUSY_US: &str = "dp.worker_busy_us";
     /// High-water mark of solution-arena bytes held live during the search
     /// (committed frontiers plus the largest pre-compaction working set).
@@ -111,9 +111,8 @@ pub mod names {
     pub const NODE_LIVE: &str = "dp.node_live";
     /// Candidates skipped because their certified subtree floor plus the
     /// rest-of-tree floor already exceeds a warm incumbent upper bound
-    /// (heuristic warm-start pruning). Interleaving-dependent like the
-    /// other bnb counters: a dominance tail-break can preempt later rows'
-    /// warm checks depending on which worker runs which block.
+    /// (heuristic warm-start pruning). A subset of `dp.bnb_skip`'s
+    /// population; like it, identical at every thread count.
     pub const BNB_WARM: &str = "dp.bnb_warm";
     /// Nodes whose communication lower-bound enumeration fell back to the
     /// degenerate zero floor (`MAX_COMBOS_PER_NODE` trip in
@@ -159,7 +158,7 @@ pub mod names {
 
     /// Every counter name above, in declaration order — for interning and
     /// exhaustive listings.
-    pub const ALL: [&str; 28] = [
+    pub const ALL: [&str; 27] = [
         CANDIDATES,
         PRUNED_MEMORY,
         PRUNED_INFERIOR,
@@ -171,7 +170,6 @@ pub mod names {
         BNB_SKIP,
         BNB_BLOCK,
         BLOCKS,
-        STEAL,
         WORKER_BUSY_US,
         ARENA_HW_BYTES,
         NODE_CANDIDATES,
@@ -198,29 +196,27 @@ pub mod names {
     }
 }
 
-/// The counters whose totals depend on worker-thread interleaving and are
-/// therefore excluded from serial-vs-parallel equivalence checks (the
-/// *values the search returns* never depend on them): the memo pair (two
-/// workers racing on one memo key both count a miss), the branch-and-bound
-/// pair (each worker prunes against its own partial frontier, so smaller
-/// chunks skip less), and the steal count (which worker drains a region
-/// first is a race).
+/// The counters excluded from equivalence checks and byte-stable output
+/// (the *values the search returns* never depend on them). The memo pair
+/// and `cost.rcost_fallback` depend on worker-thread interleaving (two
+/// workers racing on one memo key both count a miss).
 ///
-/// The `dp.subtree_*` and `cache.*` counters are deterministic for a fixed
-/// configuration but vary with cache state (warm vs. cold disk cache,
-/// subtree reuse on vs. off) while the *results* stay bit-identical, so
-/// they join the list for the same reason: equivalence checks compare
-/// outcomes, not how the work was avoided.
+/// The `dp.bnb_*`, `dp.subtree_*` and `cache.*` counters are deterministic
+/// for a fixed build and configuration, at any thread count, but record
+/// how work was avoided rather than its outcome: they move with the
+/// skipping strategy, with cache state (warm vs. cold disk cache) and with
+/// subtree reuse on vs. off while the *results* stay bit-identical, so
+/// equivalence checks across those axes skip them. (Thread-count checks may
+/// compare the `dp.bnb_*` totals; `tests/parallel_equivalence.rs` does.)
 ///
 /// `tests/parallel_equivalence.rs` and the fuzz `threads` oracle both
 /// consume this list instead of hardcoding their own copies.
-pub const NONDETERMINISTIC_COUNTERS: [&str; 16] = [
+pub const NONDETERMINISTIC_COUNTERS: [&str; 15] = [
     names::MEMO_HIT,
     names::MEMO_MISS,
     names::BNB_SKIP,
     names::BNB_BLOCK,
     names::BNB_WARM,
-    names::STEAL,
     names::RCOST_FALLBACK,
     names::SUBTREE_HIT,
     names::SUBTREE_MISS,

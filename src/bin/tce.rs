@@ -706,6 +706,11 @@ fn cmd_optimize(args: &Args) -> Result<(), String> {
             (opt, plan)
         }
     };
+    // Every node's frontier stays allocated until the process exits, which
+    // frees it at once; dropping it here only delays the exit after the
+    // last byte is written (a compiler's `-disable-free`). Library callers
+    // keep normal drops.
+    let opt = std::mem::ManuallyDrop::new(opt);
     if args.stats {
         println!("search statistics:");
         print!("{}", tensor_contraction_opt::core::render_search_stats(&opt));

@@ -1,12 +1,13 @@
 //! Serial vs. parallel search equivalence.
 //!
-//! The work-stealing candidate enumeration promises *bit-identical*
-//! results at any thread count: every claimed run is a contiguous span of
-//! the serial block stream, worker-local frontiers are tagged with their
-//! span's start position, and the merge absorbs them in ascending start
-//! order — which (dominance being transitive, see DESIGN.md §11) replays
-//! the serial search exactly, no matter how the runs were interleaved or
-//! stolen at runtime. This suite holds the optimizer to that promise over
+//! The key-partitioned candidate enumeration promises *bit-identical*
+//! results at any thread count: every combine block writes to one frontier
+//! key, each key is searched by one worker in serial block order, and
+//! dominance never compares candidates of different keys, so every
+//! worker-local frontier is the serial run's restricted to its keys. The
+//! merge gathers the worker arenas in serial block order, rebuilding the
+//! serial storage order (DESIGN.md §11), no matter which worker claimed
+//! which key or when. This suite holds the optimizer to that promise over
 //! every shipped workload: same costs (to the bit), same memory numbers,
 //! same winning index, same extracted plan, same per-node statistics, and
 //! same search counters.
@@ -16,12 +17,13 @@
 //! small nodes these fast workloads produce would otherwise be run inline
 //! and the tests would never exercise the parallel merge at all.
 //!
-//! The only permitted divergences are interleaving-dependent counters
-//! (`NONDETERMINISTIC_COUNTERS`): the `dp.memo_hit` / `dp.memo_miss` pair
-//! (two workers racing on one memo key both count a miss), the
-//! branch-and-bound skip/block totals, and `dp.steal` (how many runs were
-//! claimed outside a worker's home region). The *values* computed never
-//! depend on any of them.
+//! The only permitted divergences are the counters in
+//! `NONDETERMINISTIC_COUNTERS`: the `dp.memo_hit` / `dp.memo_miss` pair
+//! (two workers racing on one memo key both count a miss) and counters that
+//! record how work was avoided. Of those, the branch-and-bound totals
+//! (`dp.bnb_*`) are thread-count invariant too — each key's corner skips
+//! and slate-filter drops are the serial run's — and the enlarged-space
+//! test asserts it. The *values* computed never depend on any of them.
 
 use tensor_contraction_opt::core::{extract_plan, optimize, Optimized, OptimizerConfig};
 use tensor_contraction_opt::cost::{CostModel, MachineModel};
@@ -121,9 +123,17 @@ fn enlarged_space_identical_across_thread_counts() {
         optimize(&tree, &cm, &cfg).unwrap_or_else(|e| panic!("{name} @{threads}: {e}"))
     };
     let serial = run(1);
+    assert!(serial.counters.get("dp.bnb_skip") > 0, "the enlarged search skips candidates");
     for threads in [2, 4] {
         let parallel = run(threads);
         assert_identical(&format!("{name} enlarged @{threads}"), &tree, &serial, &parallel);
+        for counter in ["dp.bnb_skip", "dp.bnb_block", "dp.bnb_warm"] {
+            assert_eq!(
+                serial.counters.get(counter),
+                parallel.counters.get(counter),
+                "{name} enlarged @{threads}: {counter} must not depend on the thread count"
+            );
+        }
     }
 }
 
@@ -166,7 +176,7 @@ fn observability_enabled_runs_stay_identical() {
 }
 
 /// Pruning disabled (the §3.3 ablation) must also be thread-invariant:
-/// with dominance off, absorb degenerates to ordered concatenation.
+/// with dominance off, the gather is a concatenation in block order.
 #[test]
 fn pruning_ablation_identical_across_thread_counts() {
     let cm = CostModel::for_square(MachineModel::itanium_cluster(), 16).unwrap();
@@ -190,11 +200,11 @@ fn pruning_ablation_identical_across_thread_counts() {
 
 /// Adversarially *skewed* trees — one heavy contraction whose combine
 /// stream dwarfs every other node, surrounded by near-free reduce /
-/// element-wise nodes (`tce_bench::skewed_tree`). Under the old contiguous
-/// equal-count partition these trees concentrated all the work in one
-/// worker's chunk; under work stealing the idle workers raid that chunk,
-/// maximizing cross-region claims — exactly the interleavings where a
-/// merge-order bug would surface. Enlarged space, 1/2/4/8 threads.
+/// element-wise nodes (`tce_bench::skewed_tree`). Workers finish their
+/// keys at very different times there, so the claim order and each
+/// worker's share of the keys vary from run to run — exactly the
+/// interleavings where a merge-order bug would surface. Enlarged space,
+/// 1/2/4/8 threads.
 #[test]
 fn skewed_trees_identical_across_thread_counts() {
     let cm = CostModel::for_square(MachineModel::itanium_cluster(), 16).unwrap();
